@@ -9,10 +9,7 @@ import argparse
 import os
 import sys
 
-from .document import (
-    DocumentError, ProcessingContext, load_document, process_document,
-    system_defaults,
-)
+from .document import DocumentError, load_document, process_document
 from .elimination import EliminationTask, eliminate
 from .formula import Context, Implies
 from .interpolation import InterpolationTask, interpolate

@@ -12,14 +12,14 @@ import os
 from dataclasses import dataclass, field
 
 from .elimination import EliminationTask, eliminate
-from .formula import Context, Formula, Implies, PredSpec
+from .formula import Context, Formula, Implies
 from .interpolation import InterpolationTask, interpolate
 from .macros import (
     BUILTINS, BuiltinCall, MacroDefinition, MacroError, MacroTable,
     define_macro, expand, is_placeholder,
 )
 from .prover import ProverConfig, validate
-from .syntax import ParseError, Parser, PrintOptions, print_latex, print_text
+from .syntax import ParseError, Parser, PrintOptions, print_latex
 
 
 class DocumentError(Exception):

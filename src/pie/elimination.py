@@ -10,18 +10,18 @@ quantifiers are handled through the dual ∀p F = ¬∃p ¬F.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formula import (
-    And, Atom, Context, Eq, Exists, Exists2, FALSE, Falsity, Fn, ForAll,
-    ForAll2, Formula, Iff, Implies, Lambda, LambdaApp, Not, Or, PredSpec,
-    TRUE, Truth, Var, conj, disj, exists, forall, free_symbols, free_vars,
-    is_first_order, neg, nnf, predicate_arities, rename_bound, subst_vars,
-    substitute_predicate,
+    And, Atom, Context, Eq, Exists, Exists2, FALSE, Falsity, ForAll, ForAll2,
+    Formula, Iff, Implies, Lambda, LambdaApp, MacroCall, Not, Or, PredSpec,
+    TRUE, Truth, Var, all_names, beta_reduce, conj, disj, exists, forall,
+    free_symbols, free_vars, map_children, neg, nnf, predicate_arities,
+    subst_in_term, subst_vars, substitute_predicate,
 )
 from .preprocess import (
-    Clause, PIPELINES, PROTECT_ALL, clause_vars, clausify, lit_vars,
-    simplify_clausal, unskolemize, UnskolemizeError,
+    Clause, PIPELINES, PROTECT_ALL, clause_subst, clause_to_formula,
+    clause_vars, clausify, simplify_clausal, unskolemize, UnskolemizeError,
 )
 
 
@@ -228,7 +228,6 @@ def _bound_part(c: Clause, i, params, def_sign):
     Ackermann bound from definitional clause c with p-literal at i."""
     collide = clause_vars(c) & set(params)
     if collide:
-        from .preprocess import clause_subst
         taken = clause_vars(c) | set(params)
         ren = {}
         k = 1
@@ -250,7 +249,7 @@ def _bound_part(c: Clause, i, params, def_sign):
     def lit_f(sign, a):
         g = a if sign else Not(a)
         return subst_vars(g, mapping)
-    eq_forms = [Eq(Var(x), subst_vars_term(t, mapping)) for x, t in eqs]
+    eq_forms = [Eq(Var(x), subst_in_term(t, mapping)) for x, t in eqs]
     leftover = sorted(clause_vars(c) - set(mapping) - set(params))
     if def_sign:
         # clause  p(t̄) ∨ R  reads  ∀(∧¬R → p(t̄)):
@@ -264,17 +263,6 @@ def _bound_part(c: Clause, i, params, def_sign):
     return forall(leftover, truth_simplify(Implies(prem, concl)))
 
 
-def subst_vars_term(t, mapping):
-    if isinstance(t, Var):
-        return mapping.get(t.name, t)
-    return Fn(t.functor, tuple(subst_vars_term(a, mapping) for a in t.args))
-
-
-def _clause_formula(c: Clause):
-    from .preprocess import clause_to_formula
-    return clause_to_formula(c, close=True)
-
-
 def _ackermann_case(p, arity, clauses, def_sign, ctx):
     """Eliminate ∃p from one case's clause set via Ackermann's lemma."""
     defs, others = [], []
@@ -285,7 +273,7 @@ def _ackermann_case(p, arity, clauses, def_sign, ctx):
             defs.append((c, d[0]))
         else:
             others.append(c)
-    b = conj(_clause_formula(c) for c in others) if others else TRUE
+    b = conj(clause_to_formula(c) for c in others) if others else TRUE
     if _polarity_of(b, p) == "none":
         # p is pure in the remaining clauses; the defs are satisfiable
         # by the extreme interpretation of p
@@ -348,7 +336,6 @@ def _restore_quantifiers(f, skolems, ctx):
 
 
 def _mentions_skolems(f, skolems):
-    from .formula import all_names
     return bool(all_names(f) & set(skolems))
 
 
@@ -374,19 +361,6 @@ def eliminate(task: EliminationTask) -> EliminationOutcome:
 
 
 def _elim(f, ctx, task, deadline):
-    if isinstance(f, (Atom, Eq, Truth, Falsity)):
-        return f
-    if isinstance(f, Not):
-        return Not(_elim(f.arg, ctx, task, deadline))
-    if isinstance(f, And):
-        return And(tuple(_elim(a, ctx, task, deadline) for a in f.args))
-    if isinstance(f, Or):
-        return Or(tuple(_elim(a, ctx, task, deadline) for a in f.args))
-    if isinstance(f, (Implies, Iff)):
-        return type(f)(_elim(f.lhs, ctx, task, deadline),
-                       _elim(f.rhs, ctx, task, deadline))
-    if isinstance(f, (ForAll, Exists)):
-        return type(f)(f.vars, _elim(f.body, ctx, task, deadline))
     if isinstance(f, Exists2):
         body = _elim(f.body, ctx, task, deadline)
         for p in f.preds:
@@ -398,9 +372,10 @@ def _elim(f, ctx, task, deadline):
         out = _elim(dual, ctx, task, deadline)
         return nnf(neg(out))
     if isinstance(f, LambdaApp):
-        from .formula import beta_reduce
         return _elim(beta_reduce(f), ctx, task, deadline)
-    raise EliminationError(f"cannot eliminate inside {f!r}")
+    if isinstance(f, (Lambda, MacroCall)):
+        raise EliminationError(f"cannot eliminate inside {f!r}")
+    return map_children(f, lambda g: _elim(g, ctx, task, deadline))
 
 
 # ---------------------------------------------------------------------------

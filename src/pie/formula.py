@@ -7,7 +7,7 @@ concurrent jobs can each own their own counter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class FormulaError(Exception):
@@ -153,10 +153,6 @@ class LambdaApp(Formula):
     args: tuple  # of Term
 
 
-QUANTIFIERS = (ForAll, Exists)
-SO_QUANTIFIERS = (ForAll2, Exists2)
-
-
 def conj(items) -> Formula:
     """N-ary conjunction, flattened, with truth-constant absorption."""
     out = []
@@ -212,6 +208,102 @@ def forall(vars, body) -> Formula:
 def exists(vars, body) -> Formula:
     vars = tuple(vars)
     return Exists(vars, body) if vars else body
+
+
+# ---------------------------------------------------------------------------
+# Traversal
+
+# exact node types, tested by hashing: children and map_children run once
+# per node of every walk
+_LEAVES = frozenset((Atom, Eq, Truth, Falsity, MacroCall))
+_BINDERS = frozenset((ForAll, Exists, ForAll2, Exists2, Lambda))
+
+
+def children(f: Formula) -> tuple:
+    """The formula-valued parts of f in field order.  Terms, lambda
+    application arguments and macro-call arguments are not children."""
+    t = type(f)
+    if t in _LEAVES:
+        return ()
+    if t is And or t is Or:
+        return f.args
+    if t in _BINDERS:
+        return (f.body,)
+    if t is Not:
+        return (f.arg,)
+    if t is Implies or t is Iff:
+        return (f.lhs, f.rhs)
+    if t is LambdaApp:
+        return (f.head,)
+    raise FormulaError(f"unknown formula node {f!r}")
+
+
+def map_children(f: Formula, fn) -> Formula:
+    """f with fn applied to each child (see children); nodes without
+    children come back as they are, And/Or are not flattened."""
+    t = type(f)
+    if t in _LEAVES:
+        return f
+    if t is And or t is Or:
+        return t(tuple(map(fn, f.args)))
+    if t is ForAll or t is Exists:
+        return t(f.vars, fn(f.body))
+    if t is Not:
+        return Not(fn(f.arg))
+    if t is Implies or t is Iff:
+        return t(fn(f.lhs), fn(f.rhs))
+    if t is ForAll2 or t is Exists2:
+        return t(f.preds, fn(f.body))
+    if t is Lambda:
+        return Lambda(f.params, fn(f.body))
+    if t is LambdaApp:
+        return LambdaApp(fn(f.head), f.args)
+    raise FormulaError(f"unknown formula node {f!r}")
+
+
+def subformulas(f: Formula):
+    """f and every formula below it (through children), in pre-order."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        kids = children(g)
+        if kids:
+            stack.extend(reversed(kids))
+
+
+def subterms(*terms):
+    """Each of the terms and every term below it, in pre-order."""
+    stack = list(reversed(terms))
+    while stack:
+        s = stack.pop()
+        yield s
+        if isinstance(s, Fn) and s.args:
+            stack.extend(reversed(s.args))
+
+
+def map_term(t: Term, leaf) -> Term:
+    """Rebuild t top-down: leaf is tried first on each subterm and
+    replaces it unless it returns None.  Variables and constants that
+    leaf leaves alone come back unrebuilt."""
+    out = leaf(t)
+    if out is not None:
+        return out
+    if isinstance(t, Var) or not t.args:
+        return t
+    return Fn(t.functor, tuple(map_term(a, leaf) for a in t.args))
+
+
+def atom_terms(a) -> tuple:
+    """The argument terms of an Atom or Eq literal."""
+    return (a.lhs, a.rhs) if isinstance(a, Eq) else a.args
+
+
+def map_atom(a, leaf):
+    """An Atom or Eq with map_term(·, leaf) applied to its terms."""
+    if isinstance(a, Eq):
+        return Eq(map_term(a.lhs, leaf), map_term(a.rhs, leaf))
+    return Atom(a.pred, tuple(map_term(t, leaf) for t in a.args))
 
 
 # ---------------------------------------------------------------------------
@@ -347,67 +439,43 @@ def free_symbols(f: Formula) -> frozenset:
 def all_names(f: Formula) -> set:
     """Every symbol name occurring anywhere in f, bound or free."""
     names = set()
-
-    def walk_term(t):
-        if isinstance(t, Var):
-            names.add(t.name)
-        else:
-            names.add(t.functor)
-            for a in t.args:
-                walk_term(a)
+    terms = []
 
     def walk(g):
-        if isinstance(g, Atom):
+        t = type(g)
+        if t is Atom:
             names.add(g.pred)
-            for a in g.args:
-                walk_term(a)
-        elif isinstance(g, Eq):
-            walk_term(g.lhs)
-            walk_term(g.rhs)
-        elif isinstance(g, (Truth, Falsity)):
-            pass
-        elif isinstance(g, Not):
-            walk(g.arg)
-        elif isinstance(g, (And, Or)):
-            for a in g.args:
-                walk(a)
-        elif isinstance(g, (Implies, Iff)):
-            walk(g.lhs)
-            walk(g.rhs)
-        elif isinstance(g, (ForAll, Exists)):
+            terms.extend(g.args)
+        elif t is Eq:
+            terms.extend((g.lhs, g.rhs))
+        elif t is ForAll or t is Exists:
             names.update(g.vars)
-            walk(g.body)
-        elif isinstance(g, (ForAll2, Exists2)):
+        elif t is ForAll2 or t is Exists2:
             names.update(p.name for p in g.preds)
-            walk(g.body)
-        elif isinstance(g, Lambda):
+        elif t is Lambda:
             names.update(g.params)
-            walk(g.body)
-        elif isinstance(g, LambdaApp):
-            walk(g.head)
-            for a in g.args:
-                walk_term(a)
-        elif isinstance(g, MacroCall):
+        elif t is LambdaApp:
+            terms.extend(g.args)
+        elif t is MacroCall:
             names.add(g.name)
             for a in g.args:
-                if isinstance(a, Formula):
-                    walk(a)
-                elif isinstance(a, Term):
-                    walk_term(a)
-                elif isinstance(a, tuple):
-                    for x in a:
-                        if isinstance(x, Formula):
-                            walk(x)
-                        elif isinstance(x, Term):
-                            walk_term(x)
-        else:
-            raise FormulaError(f"unknown formula node {g!r}")
+                for x in a if isinstance(a, tuple) else (a,):
+                    if isinstance(x, Formula):
+                        walk(x)
+                    elif isinstance(x, Term):
+                        terms.append(x)
+        for c in children(g):
+            walk(c)
 
     walk(f)
+    names.update(s.name if isinstance(s, Var) else s.functor
+                 for s in subterms(*terms))
     return names
 
 
 def free_vars_term(t: Term) -> set:
+    # a direct recursion, not subterms: free_vars calls this on every
+    # argument of every atom, and most are single variables or constants
     if isinstance(t, Var):
         return {t.name}
     out = set()
@@ -418,73 +486,39 @@ def free_vars_term(t: Term) -> set:
 
 def free_vars(f: Formula) -> set:
     """Names of free first-order variables (Var nodes only)."""
-    if isinstance(f, Atom):
-        out = set()
-        for a in f.args:
-            out |= free_vars_term(a)
-        return out
-    if isinstance(f, Eq):
-        return free_vars_term(f.lhs) | free_vars_term(f.rhs)
-    if isinstance(f, (Truth, Falsity)):
-        return set()
-    if isinstance(f, Not):
-        return free_vars(f.arg)
-    if isinstance(f, (And, Or)):
-        out = set()
-        for a in f.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(f, (Implies, Iff)):
-        return free_vars(f.lhs) | free_vars(f.rhs)
-    if isinstance(f, (ForAll, Exists)):
+    t = type(f)
+    if t is ForAll or t is Exists:
         return free_vars(f.body) - set(f.vars)
-    if isinstance(f, (ForAll2, Exists2)):
-        return free_vars(f.body)
-    if isinstance(f, Lambda):
+    if t is Lambda:
         return free_vars(f.body) - set(f.params)
-    if isinstance(f, LambdaApp):
-        out = free_vars(f.head)
-        for a in f.args:
+    if t is MacroCall:
+        raise FormulaError(f"unknown formula node {f!r}")
+    out = set()
+    if t is Atom or t is Eq or t is LambdaApp:
+        for a in (f.lhs, f.rhs) if t is Eq else f.args:
             out |= free_vars_term(a)
-        return out
-    raise FormulaError(f"unknown formula node {f!r}")
+    for g in children(f):
+        out |= free_vars(g)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Substitution
 
 def subst_in_term(t: Term, mapping: dict) -> Term:
-    if isinstance(t, Var):
-        return mapping.get(t.name, t)
-    if not t.args:
-        return t
-    return Fn(t.functor, tuple(subst_in_term(a, mapping) for a in t.args))
+    return map_term(
+        t, lambda s: mapping.get(s.name) if isinstance(s, Var) else None)
 
 
 def subst_vars(f: Formula, mapping: dict) -> Formula:
     """Capture-avoiding substitution of terms for free variables."""
-    mapping = {k: v for k, v in mapping.items()}
     if not mapping:
         return f
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(subst_in_term(a, mapping) for a in f.args))
-    if isinstance(f, Eq):
-        return Eq(subst_in_term(f.lhs, mapping), subst_in_term(f.rhs, mapping))
-    if isinstance(f, (Truth, Falsity)):
-        return f
-    if isinstance(f, Not):
-        return Not(subst_vars(f.arg, mapping))
-    if isinstance(f, And):
-        return And(tuple(subst_vars(a, mapping) for a in f.args))
-    if isinstance(f, Or):
-        return Or(tuple(subst_vars(a, mapping) for a in f.args))
-    if isinstance(f, Implies):
-        return Implies(subst_vars(f.lhs, mapping), subst_vars(f.rhs, mapping))
-    if isinstance(f, Iff):
-        return Iff(subst_vars(f.lhs, mapping), subst_vars(f.rhs, mapping))
+    if isinstance(f, (Atom, Eq)):
+        return map_atom(
+            f, lambda s: mapping.get(s.name) if isinstance(s, Var) else None)
     if isinstance(f, (ForAll, Exists, Lambda)):
-        binder = type(f)
-        names = f.vars if not isinstance(f, Lambda) else f.params
+        names = f.params if isinstance(f, Lambda) else f.vars
         inner = {k: v for k, v in mapping.items() if k not in names}
         if not inner:
             return f
@@ -507,16 +541,13 @@ def subst_vars(f: Formula, mapping: dict) -> Formula:
             else:
                 new_names.append(n)
         body = subst_vars(f.body, ren) if ren else f.body
-        body = subst_vars(body, inner)
-        if isinstance(f, Lambda):
-            return Lambda(tuple(new_names), body)
-        return binder(tuple(new_names), body)
-    if isinstance(f, (ForAll2, Exists2)):
-        return type(f)(f.preds, subst_vars(f.body, mapping))
+        return type(f)(tuple(new_names), subst_vars(body, inner))
     if isinstance(f, LambdaApp):
         return LambdaApp(subst_vars(f.head, mapping),
                          tuple(subst_in_term(a, mapping) for a in f.args))
-    raise FormulaError(f"cannot substitute in {f!r}")
+    if isinstance(f, MacroCall):
+        raise FormulaError(f"cannot substitute in {f!r}")
+    return map_children(f, lambda g: subst_vars(g, mapping))
 
 
 def beta_reduce(app: LambdaApp) -> Formula:
@@ -548,41 +579,25 @@ def substitute_predicate(f: Formula, p: PredSpec, replacement) -> Formula:
             f"arity mismatch replacing {p.name}/{p.arity} by lambda of "
             f"arity {len(replacement.params)}")
 
-    def walk(g, bound_preds):
-        if isinstance(g, Atom):
-            if g.pred == p.name and g.pred not in bound_preds:
-                if p.arity is not None and len(g.args) != p.arity:
-                    raise FormulaError(
-                        f"arity mismatch: {p.name} used with {len(g.args)} "
-                        f"args, expected {p.arity}")
-                if isinstance(replacement, Lambda):
-                    return apply_lambda(replacement, g.args)
-                return Atom(replacement, g.args)
+    def walk(g):
+        if isinstance(g, Atom) and g.pred == p.name:
+            if p.arity is not None and len(g.args) != p.arity:
+                raise FormulaError(
+                    f"arity mismatch: {p.name} used with {len(g.args)} "
+                    f"args, expected {p.arity}")
+            if isinstance(replacement, Lambda):
+                return apply_lambda(replacement, g.args)
+            return Atom(replacement, g.args)
+        if isinstance(g, (ForAll2, Exists2)) \
+                and any(q.name == p.name for q in g.preds):
             return g
-        if isinstance(g, (Eq, Truth, Falsity)):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.arg, bound_preds))
-        if isinstance(g, And):
-            return And(tuple(walk(a, bound_preds) for a in g.args))
-        if isinstance(g, Or):
-            return Or(tuple(walk(a, bound_preds) for a in g.args))
-        if isinstance(g, (Implies, Iff)):
-            return type(g)(walk(g.lhs, bound_preds), walk(g.rhs, bound_preds))
-        if isinstance(g, (ForAll, Exists)):
-            return type(g)(g.vars, walk(g.body, bound_preds))
-        if isinstance(g, (ForAll2, Exists2)):
-            names = {q.name for q in g.preds}
-            if p.name in names:
-                return g
-            return type(g)(g.preds, walk(g.body, bound_preds | names))
-        if isinstance(g, Lambda):
-            return Lambda(g.params, walk(g.body, bound_preds))
         if isinstance(g, LambdaApp):
-            return walk(beta_reduce(g), bound_preds)
-        raise FormulaError(f"cannot substitute predicate in {f!r}")
+            return walk(beta_reduce(g))
+        if isinstance(g, MacroCall):
+            raise FormulaError(f"cannot substitute predicate in {f!r}")
+        return map_children(g, walk)
 
-    return walk(f, frozenset())
+    return walk(f)
 
 
 # ---------------------------------------------------------------------------
@@ -656,9 +671,8 @@ def nnf(f: Formula) -> Formula:
 
 def rename_bound(f: Formula, avoid=None) -> Formula:
     """Alpha-rename so all bound variables are pairwise distinct and
-    distinct from free symbols."""
-    taken = set(avoid or ())
-    taken |= all_names(f) - _bound_names(f)
+    distinct from free symbols.  f must be macro-free."""
+    taken = set(avoid or ()) | {o.name for o in free_symbols(f)}
     assigned = set()
 
     def pick(base):
@@ -673,67 +687,20 @@ def rename_bound(f: Formula, avoid=None) -> Formula:
         return name
 
     def walk(g, env):
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(subst_in_term(a, env) for a in g.args))
-        if isinstance(g, Eq):
-            return Eq(subst_in_term(g.lhs, env), subst_in_term(g.rhs, env))
-        if isinstance(g, (Truth, Falsity)):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.arg, env))
-        if isinstance(g, And):
-            return And(tuple(walk(a, env) for a in g.args))
-        if isinstance(g, Or):
-            return Or(tuple(walk(a, env) for a in g.args))
-        if isinstance(g, (Implies, Iff)):
-            return type(g)(walk(g.lhs, env), walk(g.rhs, env))
-        if isinstance(g, (ForAll, Exists)):
-            new = [pick(v) for v in g.vars]
+        if isinstance(g, (Atom, Eq)):
+            return subst_vars(g, env)
+        if isinstance(g, (ForAll, Exists, Lambda)):
+            names = g.params if isinstance(g, Lambda) else g.vars
+            new = [pick(v) for v in names]
             env2 = dict(env)
-            env2.update({v: Var(n) for v, n in zip(g.vars, new)})
+            env2.update({v: Var(n) for v, n in zip(names, new)})
             return type(g)(tuple(new), walk(g.body, env2))
-        if isinstance(g, Lambda):
-            new = [pick(v) for v in g.params]
-            env2 = dict(env)
-            env2.update({v: Var(n) for v, n in zip(g.params, new)})
-            return Lambda(tuple(new), walk(g.body, env2))
-        if isinstance(g, (ForAll2, Exists2)):
-            return type(g)(g.preds, walk(g.body, env))
         if isinstance(g, LambdaApp):
             return LambdaApp(walk(g.head, env),
                              tuple(subst_in_term(a, env) for a in g.args))
-        if isinstance(g, MacroCall):
-            return g
-        raise FormulaError(f"rename_bound: unexpected node {g!r}")
+        return map_children(g, lambda h: walk(h, env))
 
     return walk(f, {})
-
-
-def _bound_names(f: Formula) -> set:
-    out = set()
-
-    def walk(g):
-        if isinstance(g, (ForAll, Exists)):
-            out.update(g.vars)
-            walk(g.body)
-        elif isinstance(g, Lambda):
-            out.update(g.params)
-            walk(g.body)
-        elif isinstance(g, (ForAll2, Exists2)):
-            walk(g.body)
-        elif isinstance(g, Not):
-            walk(g.arg)
-        elif isinstance(g, (And, Or)):
-            for a in g.args:
-                walk(a)
-        elif isinstance(g, (Implies, Iff)):
-            walk(g.lhs)
-            walk(g.rhs)
-        elif isinstance(g, LambdaApp):
-            walk(g.head)
-
-    walk(f)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -742,38 +709,14 @@ def _bound_names(f: Formula) -> set:
 def is_first_order(f: Formula) -> bool:
     if isinstance(f, (ForAll2, Exists2, Lambda, LambdaApp, MacroCall)):
         return False
-    if isinstance(f, (Atom, Eq, Truth, Falsity)):
-        return True
-    if isinstance(f, Not):
-        return is_first_order(f.arg)
-    if isinstance(f, (And, Or)):
-        return all(is_first_order(a) for a in f.args)
-    if isinstance(f, (Implies, Iff)):
-        return is_first_order(f.lhs) and is_first_order(f.rhs)
-    if isinstance(f, (ForAll, Exists)):
-        return is_first_order(f.body)
-    return False
+    return all(map(is_first_order, children(f)))
 
 
 def predicate_arities(f: Formula) -> dict:
-    """Map predicate name -> set of arities used in f (free or bound)."""
+    """Map predicate name -> set of arities used in f (free or bound).
+    Macro-call arguments are not searched."""
     out = {}
-
-    def walk(g):
+    for g in subformulas(f):
         if isinstance(g, Atom):
             out.setdefault(g.pred, set()).add(len(g.args))
-        elif isinstance(g, Not):
-            walk(g.arg)
-        elif isinstance(g, (And, Or)):
-            for a in g.args:
-                walk(a)
-        elif isinstance(g, (Implies, Iff)):
-            walk(g.lhs)
-            walk(g.rhs)
-        elif isinstance(g, (ForAll, Exists, ForAll2, Exists2, Lambda)):
-            walk(g.body)
-        elif isinstance(g, LambdaApp):
-            walk(g.head)
-
-    walk(f)
     return out

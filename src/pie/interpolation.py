@@ -7,16 +7,17 @@ side are generalized to quantified variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formula import (
-    And, Atom, Context, Eq, Exists, FALSE, Falsity, Fn, ForAll, Formula,
-    Implies, Not, Or, TRUE, Truth, Var, conj, disj, free_symbols, neg,
+    Atom, Context, Eq, Exists, FALSE, Fn, ForAll, Formula, Implies, Not, TRUE,
+    Var, atom_terms, conj, disj, free_symbols, is_first_order, map_atom,
+    map_children, neg, subformulas, subterms,
 )
-from .preprocess import PROTECT_ALL, ProtectedVocabulary, simplify_clausal
+from .preprocess import PROTECT_ALL, clause_terms, clausify, simplify_clausal
 from .prover import (
-    GROUND_PREFIX, Model, ProofResult, ProverConfig, TableauNode,
-    check_tableau, find_countermodel, prove_implication,
+    Model, ProofResult, ProverConfig, TableauNode, check_tableau,
+    find_countermodel, prove_clausal, reduce_so_universal, side_clauses,
 )
 
 
@@ -77,38 +78,13 @@ def extract_from_tableau(root: TableauNode) -> Formula:
 
 def _constants(f: Formula):
     """Zero-ary function symbols of f in first-occurrence order."""
-    out = []
-    seen = set()
-
-    def wt(t):
-        if isinstance(t, Var):
-            return
-        if not t.args and t.functor not in seen:
-            seen.add(t.functor)
-            out.append(t.functor)
-        for a in t.args:
-            wt(a)
-
-    def wf(g):
-        if isinstance(g, Atom):
-            for a in g.args:
-                wt(a)
-        elif isinstance(g, Eq):
-            wt(g.lhs)
-            wt(g.rhs)
-        elif isinstance(g, Not):
-            wf(g.arg)
-        elif isinstance(g, (And, Or)):
-            for a in g.args:
-                wf(a)
-        elif isinstance(g, (Implies,)):
-            wf(g.lhs)
-            wf(g.rhs)
-        elif isinstance(g, (ForAll, Exists)):
-            wf(g.body)
-
-    wf(f)
-    return out
+    out = {}
+    for g in subformulas(f):
+        if isinstance(g, (Atom, Eq)):
+            for t in subterms(*atom_terms(g)):
+                if isinstance(t, Fn) and not t.args:
+                    out.setdefault(t.functor)
+    return list(out)
 
 
 def _vocab(f: Formula):
@@ -157,30 +133,10 @@ def generalize_constants(h: Formula, left_vocab, right_vocab,
 
 
 def _replace_constants(f, mapping):
-    def rt(t):
-        if isinstance(t, Var):
-            return t
-        if not t.args and t.functor in mapping:
-            return mapping[t.functor]
-        return Fn(t.functor, tuple(rt(a) for a in t.args))
-
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(rt(a) for a in f.args))
-    if isinstance(f, Eq):
-        return Eq(rt(f.lhs), rt(f.rhs))
-    if isinstance(f, (Truth, Falsity)):
-        return f
-    if isinstance(f, Not):
-        return Not(_replace_constants(f.arg, mapping))
-    if isinstance(f, (And, Or)):
-        return type(f)(tuple(_replace_constants(a, mapping)
-                             for a in f.args))
-    if isinstance(f, Implies):
-        return Implies(_replace_constants(f.lhs, mapping),
-                       _replace_constants(f.rhs, mapping))
-    if isinstance(f, (ForAll, Exists)):
-        return type(f)(f.vars, _replace_constants(f.body, mapping))
-    raise InterpolationError(f"cannot generalize inside {f!r}")
+    if isinstance(f, (Atom, Eq)):
+        return map_atom(f, lambda t: mapping.get(t.functor)
+                        if isinstance(t, Fn) and not t.args else None)
+    return map_children(f, lambda g: _replace_constants(g, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -188,32 +144,18 @@ def _replace_constants(f, mapping):
 
 def _clause_functions(clauses):
     """All function symbols (with arity) in a clause list."""
-    out = set()
-    for c in clauses:
-        for _, a in c.literals:
-            terms = (a.lhs, a.rhs) if isinstance(a, Eq) else a.args
-            stack = list(terms)
-            while stack:
-                t = stack.pop()
-                if isinstance(t, Fn):
-                    out.add(("function", t.functor, len(t.args)))
-                    stack.extend(t.args)
-    return out
+    return {("function", t.functor, len(t.args))
+            for c in clauses for t in clause_terms(c) if isinstance(t, Fn)}
 
 
 def interpolate(task: InterpolationTask,
                 config: ProverConfig | None = None) -> Interpolant:
     """Compute a Craig-Lyndon interpolant for task.left -> task.right."""
-    from .formula import is_first_order
-    from .preprocess import ClausalForm, clausify
-    from .prover import equality_axioms, prove_clausal
-
     if config is None:
         config = ProverConfig()
     left, right = task.left, task.right
     if not (is_first_order(left) and is_first_order(right)):
         # validity-preserving second-order reduction of the implication
-        from .prover import reduce_so_universal
         red = reduce_so_universal(Implies(left, right))
         if not isinstance(red, Implies):
             raise InterpolationError(
@@ -227,14 +169,8 @@ def interpolate(task: InterpolationTask,
     if task.simp_sides:
         left_cf = simplify_clausal(left_cf, PROTECT_ALL)
         right_cf = simplify_clausal(right_cf, PROTECT_ALL)
-    clauses = [(c, "left") for c in left_cf.clauses]
-    clauses += [(c, "right") for c in right_cf.clauses]
-    eqax = equality_axioms(clauses)
-    if eqax:
-        left_eq = any(isinstance(a, Eq) for c, s in clauses
-                      if s == "left" for _, a in c.literals)
-        clauses += [(c, "left" if left_eq else "right") for c in eqax]
-    result = prove_clausal(clauses, config)
+    result = prove_clausal(side_clauses(left_cf.clauses, right_cf.clauses),
+                           config)
     if not result.proved:
         m = find_countermodel(Implies(left, right), max_size=3,
                               timeout_ms=min(config.timeout_ms, 2000))

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import formula as fm
 from .formula import (
-    And, Atom, Context, Eq, Exists, Exists2, Falsity, Fn, ForAll, ForAll2,
-    Formula, Iff, Implies, Lambda, LambdaApp, MacroCall, Not, Or, PredSpec,
-    TRUE, Term, Truth, Var, apply_lambda, conj, forall, free_symbols,
-    predicate_arities, substitute_predicate,
+    And, Atom, Context, Eq, Exists, Exists2, Fn, ForAll, ForAll2, Formula,
+    Implies, Lambda, LambdaApp, MacroCall, Or, PredSpec, Term, Var,
+    apply_lambda, conj, forall, free_symbols, map_children, map_term,
+    predicate_arities, subformulas, substitute_predicate, subterms,
 )
 
 
@@ -52,7 +51,6 @@ class MacroDefinition:
     params: tuple              # pattern values (Term/Formula/tuple)
     template: Formula
     steps: tuple = ()          # of BuiltinCall
-    config: tuple = ()         # captured expansion-relevant settings
 
     @property
     def arity(self):
@@ -73,55 +71,35 @@ class MacroTable:
         return key in self.defs
 
 
-def _placeholders_of(value, acc):
-    if isinstance(value, Atom):
-        if is_placeholder(value.pred):
-            acc.add(value.pred)
-        for a in value.args:
-            _placeholders_of(a, acc)
-    elif isinstance(value, Fn):
-        if is_placeholder(value.functor):
-            acc.add(value.functor)
-        for a in value.args:
-            _placeholders_of(a, acc)
-    elif isinstance(value, Var):
-        if is_placeholder(value.name):
-            acc.add(value.name)
-    elif isinstance(value, Eq):
-        _placeholders_of(value.lhs, acc)
-        _placeholders_of(value.rhs, acc)
-    elif isinstance(value, Not):
-        _placeholders_of(value.arg, acc)
-    elif isinstance(value, (And, Or)):
-        for a in value.args:
-            _placeholders_of(a, acc)
-    elif isinstance(value, (Implies, Iff)):
-        _placeholders_of(value.lhs, acc)
-        _placeholders_of(value.rhs, acc)
-    elif isinstance(value, (ForAll, Exists)):
-        acc.update(v for v in value.vars if is_placeholder(v))
-        _placeholders_of(value.body, acc)
-    elif isinstance(value, (ForAll2, Exists2)):
-        acc.update(p.name for p in value.preds if is_placeholder(p.name))
-        _placeholders_of(value.body, acc)
-    elif isinstance(value, Lambda):
-        _placeholders_of(value.body, acc)
-    elif isinstance(value, LambdaApp):
-        _placeholders_of(value.head, acc)
-        for a in value.args:
-            _placeholders_of(a, acc)
-    elif isinstance(value, MacroCall):
-        for a in value.args:
-            _placeholders_of(a, acc)
-    elif isinstance(value, tuple):
-        for a in value:
-            _placeholders_of(a, acc)
-    return acc
+def _placeholders_of(value) -> set:
+    """Placeholder names in a pattern, template or step input.  Unlike
+    all_names this reaches into nested tuples and skips lambda parameters
+    and macro names."""
+    if isinstance(value, tuple):
+        return set().union(*map(_placeholders_of, value))
+    if isinstance(value, Term):
+        return {n for n in (t.name if isinstance(t, Var) else t.functor
+                            for t in subterms(value)) if is_placeholder(n)}
+    out = set()
+    for g in subformulas(value):
+        if isinstance(g, Atom):
+            if is_placeholder(g.pred):
+                out.add(g.pred)
+            out |= _placeholders_of(g.args)
+        elif isinstance(g, Eq):
+            out |= _placeholders_of((g.lhs, g.rhs))
+        elif isinstance(g, (ForAll, Exists)):
+            out.update(v for v in g.vars if is_placeholder(v))
+        elif isinstance(g, (ForAll2, Exists2)):
+            out.update(p.name for p in g.preds if is_placeholder(p.name))
+        elif isinstance(g, (LambdaApp, MacroCall)):
+            out |= _placeholders_of(g.args)
+    return out
 
 
 def define_macro(table: MacroTable, mdef: MacroDefinition) -> MacroTable:
     """Append (or replace, on identical head pattern) a definition."""
-    head_params = _placeholders_of(mdef.params, set())
+    head_params = _placeholders_of(mdef.params)
     step_outputs = set()
     for step in mdef.steps:
         if step.builtin not in BUILTINS:
@@ -129,12 +107,12 @@ def define_macro(table: MacroTable, mdef: MacroDefinition) -> MacroTable:
         n_in, n_out = BUILTINS[step.builtin]
         if len(step.inputs) != n_in or len(step.outputs) != n_out:
             raise MacroError(f"bad arity for builtin {step.builtin!r}")
-        for x in _placeholders_of(step.inputs, set()):
+        for x in _placeholders_of(step.inputs):
             if x not in head_params and x not in step_outputs:
                 raise MacroError(
                     f"step input placeholder {x!r} is unbound")
         step_outputs.update(step.outputs)
-    tmpl_ph = _placeholders_of(mdef.template, set())
+    tmpl_ph = _placeholders_of(mdef.template)
     unbound = tmpl_ph - head_params - step_outputs
     # unbound placeholders are legal only in fresh-binding roles: as a
     # quantified predicate/variable name introduced by the template itself
@@ -157,34 +135,18 @@ def define_macro(table: MacroTable, mdef: MacroDefinition) -> MacroTable:
 
 def _fresh_bindable(template) -> set:
     """Placeholders bound by a quantifier inside the template; they may
-    be left to fresh-symbol binding at expansion."""
+    be left to fresh-symbol binding at expansion.  Macro-call arguments
+    are searched only when they are formulas."""
     out = set()
-
-    def walk(g):
+    for g in subformulas(template):
         if isinstance(g, (ForAll, Exists)):
             out.update(v for v in g.vars if is_placeholder(v))
-            walk(g.body)
         elif isinstance(g, (ForAll2, Exists2)):
             out.update(p.name for p in g.preds if is_placeholder(p.name))
-            walk(g.body)
-        elif isinstance(g, Not):
-            walk(g.arg)
-        elif isinstance(g, (And, Or)):
-            for a in g.args:
-                walk(a)
-        elif isinstance(g, (Implies, Iff)):
-            walk(g.lhs)
-            walk(g.rhs)
-        elif isinstance(g, Lambda):
-            walk(g.body)
-        elif isinstance(g, LambdaApp):
-            walk(g.head)
         elif isinstance(g, MacroCall):
             for a in g.args:
                 if isinstance(a, Formula):
-                    walk(a)
-
-    walk(template)
+                    out |= _fresh_bindable(a)
     return out
 
 
@@ -309,7 +271,7 @@ def builtin_transfer_clauses(specs, direction, primed, ctx: Context):
 # ---------------------------------------------------------------------------
 # Expansion
 
-def _subst_placeholders(value, binding, ctx):
+def _subst_placeholders(value, binding):
     """Instantiate placeholders in a template by their bound values,
     coercing by position."""
 
@@ -332,7 +294,7 @@ def _subst_placeholders(value, binding, ctx):
                              f"{head!r} in functor position")
         return Fn(t.functor, tuple(sub_term(a) for a in t.args))
 
-    def sub_names(names, kind):
+    def sub_names(names):
         out = []
         for n in names:
             if is_placeholder(n) and n in binding:
@@ -358,10 +320,6 @@ def _subst_placeholders(value, binding, ctx):
             return Atom(g.pred, tuple(sub_term(a) for a in g.args))
         if isinstance(g, Eq):
             return Eq(sub_term(g.lhs), sub_term(g.rhs))
-        if isinstance(g, (Truth, Falsity)):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.arg))
         if isinstance(g, And):
             return conj(walk(a) for a in g.args)
         if isinstance(g, Or):
@@ -370,22 +328,18 @@ def _subst_placeholders(value, binding, ctx):
                 w = walk(a)
                 out.extend(w.args if isinstance(w, Or) else (w,))
             return Or(tuple(out)) if len(out) != 1 else out[0]
-        if isinstance(g, (Implies, Iff)):
-            return type(g)(walk(g.lhs), walk(g.rhs))
         if isinstance(g, (ForAll, Exists)):
-            return type(g)(sub_names(g.vars, "var"), walk(g.body))
+            return type(g)(sub_names(g.vars), walk(g.body))
         if isinstance(g, (ForAll2, Exists2)):
-            names = sub_names([p.name for p in g.preds], "pred")
+            names = sub_names([p.name for p in g.preds])
             return type(g)(tuple(PredSpec(n) for n in names), walk(g.body))
-        if isinstance(g, Lambda):
-            return Lambda(g.params, walk(g.body))
         if isinstance(g, LambdaApp):
             return LambdaApp(walk(g.head), tuple(sub_term(a) for a in g.args))
         if isinstance(g, MacroCall):
             return MacroCall(g.name, tuple(
                 tuple(_sub_arg(x) for x in a) if isinstance(a, tuple)
                 else _sub_arg(a) for a in g.args))
-        raise MacroError(f"cannot instantiate {g!r}")
+        return map_children(g, walk)
 
     def _sub_arg(a):
         if isinstance(a, Term):
@@ -397,7 +351,7 @@ def _subst_placeholders(value, binding, ctx):
 
 def _bind_fresh(template, binding, ctx):
     """Bind placeholders still unbound after steps to fresh symbols."""
-    for name in sorted(_placeholders_of(template, set()) - set(binding)):
+    for name in sorted(_placeholders_of(template) - set(binding)):
         binding[name] = Fn(ctx.fresh_pred())
 
 
@@ -420,29 +374,12 @@ class _Expander:
                 raise MacroError(
                     f"no definition for macro {f.name}/{len(f.args)}")
             return self.expand_call(f.name, f.args, depth)
-        if isinstance(f, (Eq, Truth, Falsity)):
-            return f
-        if isinstance(f, Not):
-            return Not(self.expand(f.arg, depth))
-        if isinstance(f, And):
-            return And(tuple(self.expand(a, depth) for a in f.args))
-        if isinstance(f, Or):
-            return Or(tuple(self.expand(a, depth) for a in f.args))
-        if isinstance(f, (Implies, Iff)):
-            return type(f)(self.expand(f.lhs, depth),
-                           self.expand(f.rhs, depth))
-        if isinstance(f, (ForAll, Exists)):
-            return type(f)(f.vars, self.expand(f.body, depth))
-        if isinstance(f, (ForAll2, Exists2)):
-            return type(f)(f.preds, self.expand(f.body, depth))
-        if isinstance(f, Lambda):
-            return Lambda(f.params, self.expand(f.body, depth))
         if isinstance(f, LambdaApp):
             head = self.expand(f.head, depth)
             if isinstance(head, Lambda):
                 return self.expand(apply_lambda(head, f.args), depth)
             return LambdaApp(head, f.args)
-        raise MacroError(f"cannot expand {f!r}")
+        return map_children(f, lambda g: self.expand(g, depth))
 
     def expand_arg(self, a, depth):
         if isinstance(a, tuple):
@@ -468,7 +405,7 @@ class _Expander:
         for step in mdef.steps:
             self.run_step(step, binding, depth)
         _bind_fresh(mdef.template, binding, self.ctx)
-        out = _subst_placeholders(mdef.template, binding, self.ctx)
+        out = _subst_placeholders(mdef.template, binding)
         return self.expand(out, depth + 1)
 
     def run_step(self, step, binding, depth):
@@ -501,26 +438,16 @@ class _Expander:
 def _subst_placeholders_arg(x, binding):
     if isinstance(x, tuple):
         return tuple(_subst_placeholders_arg(v, binding) for v in x)
-    if isinstance(x, Fn) and not x.args and is_placeholder(x.functor) \
-            and x.functor in binding:
-        return binding[x.functor]
     if isinstance(x, Atom) and not x.args and is_placeholder(x.pred) \
             and x.pred in binding:
         return binding[x.pred]
-    if isinstance(x, (Formula, Term)):
-        return _subst_placeholders(x, binding, None) \
-            if isinstance(x, Formula) else _sub_term_arg(x, binding)
+    if isinstance(x, Formula):
+        return _subst_placeholders(x, binding)
+    if isinstance(x, Term):
+        return map_term(x, lambda t: binding.get(t.functor)
+                        if isinstance(t, Fn) and not t.args
+                        and is_placeholder(t.functor) else None)
     return x
-
-
-def _sub_term_arg(t, binding):
-    if isinstance(t, Fn):
-        if is_placeholder(t.functor) and t.functor in binding \
-                and not t.args:
-            return binding[t.functor]
-        return Fn(t.functor, tuple(_sub_term_arg(a, binding)
-                                   for a in t.args))
-    return t
 
 
 def _transfer_specs(v, binding):

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 from .formula import (
     And, Atom, Context, Eq, Exists, FALSE, Falsity, Fn, ForAll, Formula,
-    Implies, Not, Or, TRUE, Term, Truth, Var, conj, disj, exists, forall,
-    free_vars, free_vars_term, is_first_order, neg, nnf, rename_bound,
-    subst_in_term,
+    Implies, Not, Or, TRUE, Truth, Var, atom_terms, conj, disj, forall,
+    free_vars, free_vars_term, is_first_order, map_atom, neg, nnf,
+    rename_bound, subst_vars, subterms,
 )
 
 
@@ -33,7 +33,6 @@ Literal = tuple  # (sign: bool, Atom | Eq)
 @dataclass(frozen=True)
 class Clause:
     literals: tuple
-    origin: int | None = None
 
     def __iter__(self):
         return iter(self.literals)
@@ -50,33 +49,21 @@ class ClausalForm:
     definition_preds: set = field(default_factory=set)
 
 
-def lit_vars(lit) -> set:
-    _, a = lit
-    if isinstance(a, Eq):
-        return free_vars_term(a.lhs) | free_vars_term(a.rhs)
-    out = set()
-    for t in a.args:
-        out |= free_vars_term(t)
-    return out
+def clause_terms(c: Clause):
+    """Every subterm of every literal of c, in pre-order."""
+    return subterms(*(t for _, a in c.literals for t in atom_terms(a)))
 
 
 def clause_vars(c: Clause) -> set:
-    out = set()
-    for lit in c.literals:
-        out |= lit_vars(lit)
-    return out
+    return {t.name for t in clause_terms(c) if isinstance(t, Var)}
 
 
 def lit_subst(lit, mapping):
-    s, a = lit
-    if isinstance(a, Eq):
-        return (s, Eq(subst_in_term(a.lhs, mapping),
-                      subst_in_term(a.rhs, mapping)))
-    return (s, Atom(a.pred, tuple(subst_in_term(t, mapping) for t in a.args)))
+    return (lit[0], subst_vars(lit[1], mapping))
 
 
 def clause_subst(c: Clause, mapping) -> Clause:
-    return Clause(tuple(lit_subst(l, mapping) for l in c.literals), c.origin)
+    return Clause(tuple(lit_subst(l, mapping) for l in c.literals))
 
 
 def lit_complement(lit):
@@ -172,19 +159,26 @@ def _skolemize(g, univ, cf, ctx):
     if isinstance(g, ForAll):
         return _skolemize(g.body, univ + list(g.vars), cf, ctx)
     if isinstance(g, Exists):
-        mapping = {}
-        for v in g.vars:
-            deps = [u for u in univ if u in free_vars(g.body)]
-            name = ctx.fresh_skolem()
-            cf.skolems[name] = (len(deps), tuple(deps))
-            mapping[v] = Fn(name, tuple(Var(d) for d in deps))
-        from .formula import subst_vars
-        return _skolemize(subst_vars(g.body, mapping), univ, cf, ctx)
+        return _skolemize(_skolem_body(g, univ, cf, ctx), univ, cf, ctx)
     if isinstance(g, And):
         return conj(_skolemize(a, univ, cf, ctx) for a in g.args)
     if isinstance(g, Or):
         return disj(_skolemize(a, univ, cf, ctx) for a in g.args)
     return g
+
+
+def _skolem_body(g: Exists, univ, cf, ctx):
+    """The body of g with each bound variable replaced by a fresh Skolem
+    term over the universal variables the body depends on; the Skolem
+    symbols are recorded in cf."""
+    fv = free_vars(g.body)
+    deps = tuple(u for u in univ if u in fv)
+    mapping = {}
+    for v in g.vars:
+        name = ctx.fresh_skolem()
+        cf.skolems[name] = (len(deps), deps)
+        mapping[v] = Fn(name, tuple(Var(d) for d in deps))
+    return subst_vars(g.body, mapping)
 
 
 def _cnf(g):
@@ -222,14 +216,7 @@ def _definitional(g, univ, cf, ctx):
     if isinstance(g, ForAll):
         return _definitional(g.body, univ + list(g.vars), cf, ctx)
     if isinstance(g, Exists):
-        mapping = {}
-        for v in g.vars:
-            deps = [u for u in univ if u in free_vars(g.body)]
-            name = ctx.fresh_skolem()
-            cf.skolems[name] = (len(deps), tuple(deps))
-            mapping[v] = Fn(name, tuple(Var(d) for d in deps))
-        from .formula import subst_vars
-        return _definitional(subst_vars(g.body, mapping), univ, cf, ctx)
+        return _definitional(_skolem_body(g, univ, cf, ctx), univ, cf, ctx)
     if isinstance(g, And):
         out = []
         for a in g.args:
@@ -433,8 +420,7 @@ def simplify_clausal(cf: ClausalForm,
                     changed = True
                     continue
                 kept.append(lit)
-            out.append(Clause(tuple(kept), c.origin) if len(kept) != len(lits)
-                       else c)
+            out.append(Clause(tuple(kept)) if len(kept) != len(lits) else c)
         clauses = out
         # subsumption (incl. duplicates)
         kept = []
@@ -526,8 +512,10 @@ def clause_to_formula(c: Clause, close=True, taken=(),
         f = FALSE
     if close:
         vs = clause_vars(c) - set(exclude)
-        ren = _nice_renaming(vs, set(taken) | set(exclude))
-        from .formula import subst_vars
+        # the clause's own function symbols are taken too, so that the
+        # quantifier cannot capture a constant when the text is read back
+        functors = {t.functor for t in clause_terms(c) if isinstance(t, Fn)}
+        ren = _nice_renaming(vs, set(taken) | set(exclude) | functors)
         f = subst_vars(f, ren)
         f = forall(sorted({t.name for t in ren.values()},
                           key=lambda n: (_NICE_VARS.index(n)
@@ -547,17 +535,10 @@ def clauses_to_formula(cf: ClausalForm, taken=()) -> Formula:
 def _skolem_names(cf: ClausalForm):
     names = dict(cf.skolems)
     for c in cf.clauses:
-        for _, a in c.literals:
-            terms = (a.lhs, a.rhs) if isinstance(a, Eq) else a.args
-            stack = list(terms)
-            while stack:
-                t = stack.pop()
-                if isinstance(t, Fn):
-                    if t.functor.startswith("sk") \
-                            and t.functor[2:].isdigit() \
-                            and t.functor not in names:
-                        names[t.functor] = (len(t.args), None)
-                    stack.extend(t.args)
+        for t in clause_terms(c):
+            if isinstance(t, Fn) and t.functor.startswith("sk") \
+                    and t.functor[2:].isdigit():
+                names.setdefault(t.functor, (len(t.args), None))
     return names
 
 
@@ -582,7 +563,8 @@ def unskolemize(cf: ClausalForm, ctx: Context | None = None) -> Formula:
     # group clauses connected through shared Skolem symbols
     groups = []
     for c in cf.clauses:
-        syms = _clause_skolems(c, skolems)
+        syms = {t.functor for t in clause_terms(c)
+                if isinstance(t, Fn) and t.functor in skolems}
         merged = [c]
         rest = []
         for g_syms, g_clauses in groups:
@@ -600,20 +582,6 @@ def unskolemize(cf: ClausalForm, ctx: Context | None = None) -> Formula:
         else:
             parts.append(_unskolemize_group(cs, syms, skolems, ctx))
     return conj(parts)
-
-
-def _clause_skolems(c, skolems):
-    out = set()
-    for _, a in c.literals:
-        terms = (a.lhs, a.rhs) if isinstance(a, Eq) else a.args
-        stack = list(terms)
-        while stack:
-            t = stack.pop()
-            if isinstance(t, Fn):
-                if t.functor in skolems:
-                    out.add(t.functor)
-                stack.extend(t.args)
-    return out
 
 
 def _unskolemize_group(cs, syms, skolems, ctx):
@@ -667,47 +635,34 @@ def _unskolemize_group(cs, syms, skolems, ctx):
 def _canonize_clause(c, syms, canon, ren):
     """Build a renaming of clause variables so each Skolem occurrence
     has exactly the canonical argument variables."""
-    for _, a in c.literals:
-        terms = (a.lhs, a.rhs) if isinstance(a, Eq) else a.args
-        stack = list(terms)
-        while stack:
-            t = stack.pop()
-            if isinstance(t, Fn):
-                if t.functor in syms:
-                    want = canon[t.functor]
-                    if len(t.args) != len(want):
+    for t in clause_terms(c):
+        if isinstance(t, Fn) and t.functor in syms:
+            want = canon[t.functor]
+            if len(t.args) != len(want):
+                return False
+            seen_args = set()
+            for arg, cv in zip(t.args, want):
+                if not isinstance(arg, Var):
+                    return False
+                if arg.name in seen_args:
+                    return False
+                seen_args.add(arg.name)
+                if arg.name in ren:
+                    if ren[arg.name] != Var(cv):
                         return False
-                    seen_args = set()
-                    for arg, cv in zip(t.args, want):
-                        if not isinstance(arg, Var):
-                            return False
-                        if arg.name in seen_args:
-                            return False
-                        seen_args.add(arg.name)
-                        if arg.name in ren:
-                            if ren[arg.name] != Var(cv):
-                                return False
-                        else:
-                            ren[arg.name] = Var(cv)
-                stack.extend(t.args)
+                else:
+                    ren[arg.name] = Var(cv)
     return True
 
 
 def _replace_skolems(c, canon, exvars):
-    def rt(t):
-        if isinstance(t, Var):
-            return t
-        if t.functor in exvars and len(t.args) == len(canon[t.functor]):
+    def leaf(t):
+        if isinstance(t, Fn) and t.functor in exvars \
+                and len(t.args) == len(canon[t.functor]):
             return Var(exvars[t.functor])
-        return Fn(t.functor, tuple(rt(a) for a in t.args))
+        return None
 
-    lits = []
-    for s, a in c.literals:
-        if isinstance(a, Eq):
-            lits.append((s, Eq(rt(a.lhs), rt(a.rhs))))
-        else:
-            lits.append((s, Atom(a.pred, tuple(rt(x) for x in a.args))))
-    return Clause(tuple(lits), c.origin)
+    return Clause(tuple((s, map_atom(a, leaf)) for s, a in c.literals))
 
 
 # ---------------------------------------------------------------------------

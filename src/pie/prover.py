@@ -14,15 +14,12 @@ import time
 from dataclasses import dataclass, field
 
 from .formula import (
-    And, Atom, Context, Eq, Exists, Exists2, FALSE, Falsity, Fn, ForAll,
-    ForAll2, Formula, Iff, Implies, Lambda, LambdaApp, MacroCall, Not, Or,
-    PredSpec, TRUE, Term, Truth, Var, conj, free_symbols, free_vars_term,
-    is_first_order, neg, predicate_arities, substitute_predicate,
+    And, Atom, Context, Eq, Exists, Exists2, Falsity, Fn, ForAll, ForAll2,
+    Formula, Iff, Implies, Not, Or, PredSpec, Truth, Var, atom_terms,
+    free_symbols, free_vars, is_first_order, map_atom, map_term, neg,
+    predicate_arities, substitute_predicate,
 )
-from .preprocess import (
-    Clause, ClausalForm, clausify, lit_complement, simplify_clausal,
-    PROTECT_ALL,
-)
+from .preprocess import Clause, clause_terms, clausify, match_lit
 
 
 class ProverError(Exception):
@@ -84,20 +81,14 @@ def _rename_clause(c: Clause, counter: list):
     tag = counter[0]
     cache = {}
 
-    def rt(t):
+    def leaf(t):
         if isinstance(t, Var):
             if t.name not in cache:
                 cache[t.name] = Var(f"_{tag}_{t.name}")
             return cache[t.name]
-        return Fn(t.functor, tuple(rt(a) for a in t.args))
+        return None
 
-    lits = []
-    for s, a in c.literals:
-        if isinstance(a, Eq):
-            lits.append((s, Eq(rt(a.lhs), rt(a.rhs))))
-        else:
-            lits.append((s, Atom(a.pred, tuple(rt(x) for x in a.args))))
-    return lits
+    return [(s, map_atom(a, leaf)) for s, a in c.literals]
 
 
 def _deref(t, env):
@@ -131,10 +122,6 @@ def _unify(a, b, env, trail):
     return all(_unify(x, y, env, trail) for x, y in zip(a.args, b.args))
 
 
-def _atom_terms(a):
-    return (a.lhs, a.rhs) if isinstance(a, Eq) else a.args
-
-
 def _unify_atoms(a, b, env, trail):
     if isinstance(a, Eq) != isinstance(b, Eq):
         return False
@@ -142,21 +129,7 @@ def _unify_atoms(a, b, env, trail):
                                 or len(a.args) != len(b.args)):
         return False
     return all(_unify(x, y, env, trail)
-               for x, y in zip(_atom_terms(a), _atom_terms(b)))
-
-
-def _resolve_term(t, env):
-    t = _deref(t, env)
-    if isinstance(t, Var):
-        return t
-    return Fn(t.functor, tuple(_resolve_term(a, env) for a in t.args))
-
-
-def _resolve_lit(lit, env):
-    s, a = lit
-    if isinstance(a, Eq):
-        return (s, Eq(_resolve_term(a.lhs, env), _resolve_term(a.rhs, env)))
-    return (s, Atom(a.pred, tuple(_resolve_term(t, env) for t in a.args)))
+               for x, y in zip(atom_terms(a), atom_terms(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +142,14 @@ def equality_axioms(clauses):
     funs = {}
     uses_eq = False
     for c, _side in clauses:
-        for s, a in c.literals:
+        for _, a in c.literals:
             if isinstance(a, Eq):
                 uses_eq = True
-                stack = [a.lhs, a.rhs]
             else:
                 preds.setdefault(a.pred, len(a.args))
-                stack = list(a.args)
-            while stack:
-                t = stack.pop()
-                if isinstance(t, Fn):
-                    if t.args:
-                        funs.setdefault(t.functor, len(t.args))
-                    stack.extend(t.args)
+        for t in clause_terms(c):
+            if isinstance(t, Fn) and t.args:
+                funs.setdefault(t.functor, len(t.args))
     if not uses_eq:
         return []
     x, y, z = Var("x"), Var("y"), Var("z")
@@ -288,7 +256,7 @@ class _Search:
                                     or len(a.args) != len(b.args)):
             return False
         return all(self._teq(x, y)
-                   for x, y in zip(_atom_terms(a), _atom_terms(b)))
+                   for x, y in zip(atom_terms(a), atom_terms(b)))
 
     def _teq(self, a, b):
         a = _deref(a, self.env)
@@ -320,10 +288,7 @@ def prove_clausal(clauses, config: ProverConfig | None = None
     if any(len(c) == 0 for c, _ in clauses):
         # the empty clause is already a refutation
         root = TableauNode(None, None)
-        side = next(s for c, s in clauses if len(c) == 0)
-        root.children = []
-        res = ProofResult(True, root, 0, 0, 0.0, "empty clause", clauses)
-        return res
+        return ProofResult(True, root, 0, 0, 0.0, "empty clause", clauses)
     search = _Search(clauses, config)
     order = _start_order(clauses)
     try:
@@ -338,7 +303,7 @@ def prove_clausal(clauses, config: ProverConfig | None = None
                     next(search.solve_all(root.children, [], depth))
                 except StopIteration:
                     continue
-                _ground_tableau(root, search.env, clauses)
+                _ground_tableau(root, search.env)
                 ms = (time.monotonic() - t0) * 1000
                 return ProofResult(True, root, depth, search.inferences,
                                    ms, "proved", clauses)
@@ -354,34 +319,31 @@ def prove_clausal(clauses, config: ProverConfig | None = None
 GROUND_PREFIX = "c_"
 
 
-def _ground_tableau(root, env, clauses):
+def _ground_tableau(root, env):
     """Instantiate the closed tableau with the final bindings; search
     variables left unbound become fresh constants named c_*."""
     ground = {}
 
-    def gt(t):
+    def leaf(t):
+        if not isinstance(t, Var):
+            return None
         t = _deref(t, env)
-        if isinstance(t, Var):
-            if t.name not in ground:
-                ground[t.name] = Fn(f"{GROUND_PREFIX}{len(ground) + 1}")
-            return ground[t.name]
-        return Fn(t.functor, tuple(gt(a) for a in t.args))
+        if not isinstance(t, Var):
+            return map_term(t, leaf)
+        if t.name not in ground:
+            ground[t.name] = Fn(f"{GROUND_PREFIX}{len(ground) + 1}")
+        return ground[t.name]
 
     for n in root.nodes():
-        if n.literal is None:
-            continue
-        s, a = n.literal
-        if isinstance(a, Eq):
-            n.literal = (s, Eq(gt(a.lhs), gt(a.rhs)))
-        else:
-            n.literal = (s, Atom(a.pred, tuple(gt(t) for t in a.args)))
+        if n.literal is not None:
+            s, a = n.literal
+            n.literal = (s, map_atom(a, leaf))
 
 
 def check_tableau(root: TableauNode, clauses) -> bool:
     """Independent structural soundness check of a closed tableau:
     every inner node's children instantiate an input clause and every
     leaf is closed against a complementary ancestor."""
-    from .preprocess import match_lit
 
     def check(node, ancestors):
         if node.children:
@@ -464,10 +426,16 @@ def reduce_so_universal(f: Formula, ctx: Context | None = None) -> Formula:
     return walk(f, 1)
 
 
-def _prepare_clauses(f: Formula, side: str, ctx: Context):
-    """Clauses of f (not negated) with a side label."""
-    cf = clausify(f, "equivalence", ctx)
-    return [(c, side) for c in cf.clauses]
+def side_clauses(left, right) -> list:
+    """The (Clause, side) input of an interpolating refutation: left's
+    clauses labeled 'left', right's 'right', and the equality axioms on
+    the left when '=' occurs there, otherwise on the right."""
+    clauses = [(c, "left") for c in left] + [(c, "right") for c in right]
+    eqax = equality_axioms(clauses)
+    if eqax:
+        left_eq = any(isinstance(a, Eq) for c in left for _, a in c.literals)
+        clauses += [(c, "left" if left_eq else "right") for c in eqax]
+    return clauses
 
 
 def prove(f: Formula, config: ProverConfig | None = None) -> ProofResult:
@@ -476,9 +444,8 @@ def prove(f: Formula, config: ProverConfig | None = None) -> ProofResult:
     ctx.reserve_formula(f)
     if not is_first_order(f):
         f = reduce_so_universal(f, ctx)
-    clauses = _prepare_clauses(neg(f), "left", ctx)
-    clauses += [(c, "left") for c in equality_axioms(clauses)]
-    return prove_clausal(clauses, config)
+    cf = clausify(neg(f), "equivalence", ctx)
+    return prove_clausal(side_clauses(cf.clauses, []), config)
 
 
 def prove_implication(left: Formula, right: Formula,
@@ -487,14 +454,10 @@ def prove_implication(left: Formula, right: Formula,
     ctx = Context()
     ctx.reserve_formula(left)
     ctx.reserve_formula(right)
-    clauses = _prepare_clauses(left, "left", ctx)
-    clauses += _prepare_clauses(neg(right), "right", ctx)
-    eqax = equality_axioms(clauses)
-    if eqax:
-        left_eq = any(isinstance(a, Eq) for c, s in clauses if s == "left"
-                      for _, a in c.literals)
-        clauses += [(c, "left" if left_eq else "right") for c in eqax]
-    return prove_clausal(clauses, config)
+    left_cf = clausify(left, "equivalence", ctx)
+    right_cf = clausify(neg(right), "equivalence", ctx)
+    return prove_clausal(side_clauses(left_cf.clauses, right_cf.clauses),
+                         config)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +537,6 @@ def find_countermodel(f: Formula, max_size: int = 4,
     are read universally)."""
     if not is_first_order(f):
         f = reduce_so_universal(f)
-    from .formula import free_vars
     fv = sorted(free_vars(f))
     g = f
     for v in reversed(fv):
@@ -586,7 +548,6 @@ def find_countermodel(f: Formula, max_size: int = 4,
             preds[(o.name, o.arity)] = None
         else:
             funs[(o.name, o.arity)] = None
-    uses_eq = _uses_eq(g)
     deadline = time.monotonic() + timeout_ms / 1000.0
     for n in range(1, max_size + 1):
         dom = list(range(1, n + 1))
@@ -625,22 +586,6 @@ def find_countermodel(f: Formula, max_size: int = 4,
                 if not m.eval(g):
                     return m
     return None
-
-
-def _uses_eq(f):
-    if isinstance(f, Eq):
-        return True
-    if isinstance(f, (Atom, Truth, Falsity)):
-        return False
-    if isinstance(f, Not):
-        return _uses_eq(f.arg)
-    if isinstance(f, (And, Or)):
-        return any(_uses_eq(a) for a in f.args)
-    if isinstance(f, (Implies, Iff)):
-        return _uses_eq(f.lhs) or _uses_eq(f.rhs)
-    if isinstance(f, (ForAll, Exists, ForAll2, Exists2)):
-        return _uses_eq(f.body)
-    return False
 
 
 @dataclass

@@ -388,7 +388,6 @@ def _check_arities(f):
 @dataclass(frozen=True)
 class PrintOptions:
     style: str = "text"          # 'text' | 'latex'
-    compact: bool = False
     symbol_conversion: bool = True
 
 

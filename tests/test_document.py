@@ -13,6 +13,9 @@ from pie.syntax import ParseError
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                        "workbench.pie")
+# the fixture's LaTeX, committed so that refactorings are checked against it
+GOLDEN = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                      "workbench.tex")
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +154,8 @@ def test_fixture_document_is_deterministic():
     out1 = process_file(FIXTURE)
     out2 = process_file(FIXTURE)
     assert out1 == out2
+    with open(GOLDEN, encoding="utf-8") as fh:
+        assert out1 == fh.read()
 
 
 def test_fixture_document_content():

@@ -5,9 +5,11 @@ import itertools
 from hypothesis import given, strategies as st
 
 from pie.formula import (
-    And, Atom, Context, Eq, Exists, FALSE, Fn, ForAll, Iff, Implies,
-    Lambda, Not, Or, PredSpec, TRUE, Var, conj, disj, free_symbols,
-    free_vars, is_first_order, neg, nnf, substitute_predicate,
+    And, Atom, Context, Eq, Exists, Exists2, FALSE, Falsity, Fn, ForAll,
+    ForAll2, Formula, Iff, Implies, Lambda, LambdaApp, MacroCall, Not, Or,
+    PredSpec, TRUE, Truth, Var, children, conj, disj, free_symbols,
+    free_vars, is_first_order, map_children, map_term, neg, nnf,
+    rename_bound, subformulas, substitute_predicate,
 )
 from pie.syntax import parse_formula
 
@@ -130,6 +132,61 @@ def test_context_fresh_names_avoid_reserved():
 def test_is_first_order():
     assert is_first_order(parse_formula("all(x, p(x))"))
     assert not is_first_order(parse_formula("ex2(p, p(a))"))
+
+
+def test_rename_bound_avoids_free_names():
+    # x occurs free (as a constant, or as a variable) and bound
+    x1 = Var("x1")
+    for free in (Fn("x"), Var("x")):
+        f = And((Atom("p", (free,)), ForAll(("x",), Atom("q", (Var("x"),)))))
+        assert rename_bound(f) == And(
+            (Atom("p", (free,)), ForAll(("x1",), Atom("q", (x1,)))))
+
+
+# ---------------------------------------------------------------------------
+# Traversal
+
+def test_traversal_covers_every_node_class():
+    a, b = Atom("p", (Var("x"),)), Atom("q", ())
+    lam = Lambda(("x",), a)
+    examples = {
+        Atom: a, Eq: Eq(Var("x"), Fn("c")), Truth: TRUE, Falsity: FALSE,
+        Not: Not(a), And: And((a, b)), Or: Or((a, b)),
+        Implies: Implies(a, b), Iff: Iff(a, b),
+        ForAll: ForAll(("x",), a), Exists: Exists(("x",), a),
+        ForAll2: ForAll2((PredSpec("p"),), a),
+        Exists2: Exists2((PredSpec("p"),), a),
+        Lambda: lam, LambdaApp: LambdaApp(lam, (Fn("c"),)),
+        MacroCall: MacroCall("m", (a, Fn("c"), (b,))),
+    }
+    # a node class added later must be given an example here
+    assert set(examples) == set(Formula.__subclasses__())
+    for f in examples.values():
+        kids = children(f)
+        assert all(isinstance(k, Formula) for k in kids)
+        assert map_children(f, lambda g: g) == f
+        seen = []
+        map_children(f, lambda g: seen.append(g) or g)
+        assert seen == list(kids)
+    f = Implies(And((a, Not(b))), ForAll(("x",), a))
+    assert list(subformulas(f)) == [f, f.lhs, a, Not(b), b, f.rhs, a]
+
+
+def test_map_term_tries_leaf_first():
+    c = Fn("c")
+    t = Fn("f", (Var("x"), Fn("g", (Var("x"), c))))
+    out = map_term(t, lambda s: Fn("d") if s == Var("x") else None)
+    assert out == Fn("f", (Fn("d"), Fn("g", (Fn("d"), c))))
+    # a replaced subterm is not descended into
+    calls = []
+
+    def leaf(s):
+        calls.append(s)
+        return c if isinstance(s, Fn) and s.functor == "g" else None
+
+    assert map_term(t, leaf) == Fn("f", (Var("x"), c))
+    assert calls == [t, Var("x"), t.args[1]]
+    assert map_term(c, lambda s: None) is c
 
 
 # ---------------------------------------------------------------------------

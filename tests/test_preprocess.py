@@ -150,7 +150,7 @@ def test_unskolemize_chain_violation_raises():
     # clause cannot be rebuilt into one quantifier prefix
     from pie.preprocess import ClausalForm
     c = Clause(((True, Atom("p", (Fn("sk1", (Var("x"),)),
-                                  Fn("sk2", (Var("y"),))))),), None)
+                                  Fn("sk2", (Var("y"),))))),))
     cf = ClausalForm([c], {"sk1": (1, ("x",)), "sk2": (1, ("y",))}, set())
     with pytest.raises(UnskolemizeError):
         unskolemize(cf)
@@ -170,6 +170,12 @@ def test_pipeline_c6_first_order():
     f = parse_formula("all(x, (q(x) -> r(x))), ex(y, q(y))")
     g = pipeline_c6(f)
     assert fo_equivalent(f, g)
+
+
+def test_pipeline_c6_text_reads_back():
+    # the constant x must not be captured by the quantifier of the result
+    g = pipeline_c6(parse_formula("p(x) ; all(x, q(x))"))
+    assert parse_formula(print_text(g)) == g
 
 
 def test_pipeline_d6_dualizes():
