@@ -93,22 +93,17 @@ def miniscope(f: Formula) -> Formula:
 def _push_one(q, v, body):
     if v not in free_vars(body):
         return body
-    if isinstance(body, And):
-        inside = [a for a in body.args if v in free_vars(a)]
-        outside = [a for a in body.args if v not in free_vars(a)]
-        if q is ForAll:
-            return conj([_push_one(q, v, a) for a in inside] + outside)
+    if isinstance(body, (And, Or)):
+        join = conj if isinstance(body, And) else disj
+        inside, outside = [], []
+        for a in body.args:
+            (inside if v in free_vars(a) else outside).append(a)
+        # all distributes over a conjunction, ex over a disjunction
+        if (q is ForAll) == isinstance(body, And):
+            return join([_push_one(q, v, a) for a in inside] + outside)
         if outside:
-            return conj([_push_one(q, v, conj(inside))] + outside)
-        return Exists((v,), body)
-    if isinstance(body, Or):
-        inside = [a for a in body.args if v in free_vars(a)]
-        outside = [a for a in body.args if v not in free_vars(a)]
-        if q is Exists:
-            return disj([_push_one(q, v, a) for a in inside] + outside)
-        if outside:
-            return disj([_push_one(q, v, disj(inside))] + outside)
-        return ForAll((v,), body)
+            return join([_push_one(q, v, join(inside))] + outside)
+        return q((v,), body)
     if isinstance(body, q) and q in (ForAll, Exists):
         return q((v,) + body.vars, body.body)
     return q((v,), body)

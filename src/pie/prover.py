@@ -2,6 +2,9 @@
 
 The prover searches for closed clausal tableaux by iterative deepening
 over tableau depth with regularity pruning and leftmost goal selection.
+A connection index, built once per search, lists for each sign and
+predicate the input literals a goal can connect to, so an extension
+renames a clause only when its literal has the goal's predicate.
 Clauses carry a side label (left/right) that the interpolation module
 reads off the closed tableau.  Equality is handled by adding the
 standard axioms when '=' occurs in the input.
@@ -26,8 +29,8 @@ class ProverError(Exception):
     pass
 
 
-class _Timeout(Exception):
-    pass
+class _LimitHit(Exception):
+    """The search hit a resource limit; args[0] names it."""
 
 
 @dataclass
@@ -67,7 +70,7 @@ class ProofResult:
     proved: bool
     tableau: TableauNode | None = None
     depth: int | None = None
-    inferences: int = 0
+    inferences: int = 0  # goals, plus extensions with the goal's predicate
     elapsed_ms: float = 0.0
     reason: str = ""
     clauses: list = field(default_factory=list)  # (Clause, side) inputs
@@ -120,6 +123,11 @@ def _unify(a, b, env, trail):
     if a.functor != b.functor or len(a.args) != len(b.args):
         return False
     return all(_unify(x, y, env, trail) for x, y in zip(a.args, b.args))
+
+
+def _pred_key(a):
+    """The predicate of an atom, as the connection index files it."""
+    return "=" if isinstance(a, Eq) else (a.pred, len(a.args))
 
 
 def _unify_atoms(a, b, env, trail):
@@ -188,14 +196,20 @@ class _Search:
         self.counter = [0]
         self.inferences = 0
         self.deadline = time.monotonic() + config.timeout_ms / 1000.0
+        # (sign, predicate key) -> [(clause index, literal index)], in
+        # clause order: the only input literals a goal can connect to
+        self.index = {}
+        for idx, (cl, _side) in enumerate(clauses):
+            for i, (s, a) in enumerate(cl.literals):
+                self.index.setdefault((s, _pred_key(a)), []).append((idx, i))
 
     def _tick(self):
         self.inferences += 1
         if self.inferences % 64 == 0 and time.monotonic() > self.deadline:
-            raise _Timeout
+            raise _LimitHit("timeout")
         if self.config.max_inferences is not None \
                 and self.inferences > self.config.max_inferences:
-            raise _Timeout
+            raise _LimitHit("inference limit")
 
     def _undo(self, mark):
         while len(self.trail) > mark:
@@ -222,24 +236,21 @@ class _Search:
                 self._undo(mark)
         if depth <= 0:
             return
-        # extension with an input clause
-        for idx, (cl, side) in enumerate(self.clauses):
-            for i, (ls, la) in enumerate(cl.literals):
-                if ls == sign:
-                    continue
-                self._tick()
-                mark = len(self.trail)
-                lits = _rename_clause(cl, self.counter)
-                if _unify_atoms(lits[i][1], atom, self.env, self.trail):
-                    children = [TableauNode(l, side, clause_index=idx)
-                                for l in lits]
-                    children[i].closed_by = node
-                    node.children = children
-                    rest = [c for j, c in enumerate(children) if j != i]
-                    yield from self.solve_all(rest, path + [node],
-                                              depth - 1)
-                    node.children = []
-                self._undo(mark)
+        # extension with an input clause whose literal can connect
+        for idx, i in self.index.get((not sign, _pred_key(atom)), ()):
+            cl, side = self.clauses[idx]
+            self._tick()
+            mark = len(self.trail)
+            lits = _rename_clause(cl, self.counter)
+            if _unify_atoms(lits[i][1], atom, self.env, self.trail):
+                children = [TableauNode(l, side, clause_index=idx)
+                            for l in lits]
+                children[i].closed_by = node
+                node.children = children
+                rest = [c for j, c in enumerate(children) if j != i]
+                yield from self.solve_all(rest, path + [node], depth - 1)
+                node.children = []
+            self._undo(mark)
 
     def solve_all(self, goals, path, depth):
         if not goals:
@@ -307,10 +318,10 @@ def prove_clausal(clauses, config: ProverConfig | None = None
                 ms = (time.monotonic() - t0) * 1000
                 return ProofResult(True, root, depth, search.inferences,
                                    ms, "proved", clauses)
-    except _Timeout:
+    except _LimitHit as hit:
         ms = (time.monotonic() - t0) * 1000
         return ProofResult(False, None, None, search.inferences, ms,
-                           "timeout", clauses)
+                           hit.args[0], clauses)
     ms = (time.monotonic() - t0) * 1000
     return ProofResult(False, None, None, search.inferences, ms,
                        "depth bound exhausted", clauses)

@@ -1,16 +1,19 @@
 """Model-elimination prover, tableau checker, countermodels, validation."""
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pie.formula import Context, Implies, neg
+from pie.formula import Atom, Context, Implies, Var, neg
+from pie.preprocess import Clause, clausify
 from pie.prover import (
-    ProverConfig, check_tableau, find_countermodel, prove,
-    prove_implication, reduce_so_universal, validate,
+    ProverConfig, check_tableau, find_countermodel, prove, prove_clausal,
+    prove_implication, reduce_so_universal, side_clauses, validate,
 )
-from pie.syntax import parse_formula
+from pie.syntax import parse_formula, print_text
 
 from oracles import prop_atoms, prop_corpus, truth_table, eval_prop
 
@@ -155,7 +158,84 @@ def test_timeout_reports_resources():
            "all([x,y,z], ((r(x,y), r(y,z)) -> r(x,z)))) -> q")
     r = prove(parse_formula(src), ProverConfig(timeout_ms=100))
     assert not r.proved
-    assert r.reason in ("timeout", "depth limit")
+    assert r.reason in ("timeout", "depth bound exhausted")
+
+
+def test_inference_limit_stops_search():
+    src = ("(all(x, ex(y, r(x,y))), all(x, ~r(x,x)), "
+           "all([x,y,z], ((r(x,y), r(y,z)) -> r(x,z)))) -> q")
+    r = prove(parse_formula(src),
+              ProverConfig(timeout_ms=60000, max_inferences=500))
+    assert not r.proved
+    assert r.reason == "inference limit"
+    assert r.inferences == 501
+
+
+# ---------------------------------------------------------------------------
+# Pinned proofs, recorded before the prover had a connection index: the
+# index only skips connections that cannot unify, so the search must keep
+# finding the same tableaux
+
+PINNED = json.loads(
+    Path(__file__).with_name("pinned_proofs.json").read_text())
+
+
+def _preorder(r):
+    """The grounded tableau as pre-order (sign, literal text, clause)."""
+    return [[n.literal[0], print_text(n.literal[1]), n.clause_index]
+            for n in r.tableau.nodes() if n.literal is not None]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_proofs(name):
+    pin = PINNED[name]
+    r = prove(parse_formula(pin["formula"]), FAST)
+    assert r.proved, r.reason
+    assert r.depth == pin["depth"]
+    assert _preorder(r) == pin["tableau"]
+
+
+P45 = ("(all(x, ((f(x), all(y, ((g(y), h(x,y)) -> j(x,y)))) -> "
+       "all(y, ((g(y), h(x,y)) -> k(y))))), ~ex(y, (l(y), k(y))), "
+       "ex(x, (f(x), all(y, (h(x,y) -> l(y))), "
+       "all(y, ((g(y), h(x,y)) -> j(x,y)))))) -> "
+       "ex(x, (f(x), ~ex(y, (g(y), h(x,y)))))")
+
+
+@pytest.mark.parametrize("src, most", [
+    (P45, 3554),
+    (PINNED["dnf-3"]["formula"], 1352),
+], ids=["pelletier-45", "dnf-3"])
+def test_inference_counts_do_not_grow(src, most):
+    # a machine-independent guard against a slower search
+    r = prove(parse_formula(src), ProverConfig(timeout_ms=20000))
+    assert r.proved, r.reason
+    assert r.inferences <= most
+
+
+@pytest.mark.parametrize("src", [
+    PINNED["pelletier-19"]["formula"],
+    PINNED["pelletier-20"]["formula"],
+    "all(x, ((p(a), (p(x) -> p(b))) -> p(c))) <-> "
+    "all(x, ((~p(a) ; p(x) ; p(c)), (~p(a) ; ~p(b) ; p(c))))",
+], ids=["pelletier-19", "pelletier-20", "pelletier-33"])
+def test_unconnectable_clauses_cost_nothing(src):
+    # Clauses over fresh predicates can never connect to the problem's
+    # literals.  Each has a positive literal, so they come after the
+    # problem's clauses as start clauses, and these proofs have depth 1,
+    # so no start clause after the successful one is tried.
+    clauses = side_clauses(clausify(neg(parse_formula(src))).clauses, [])
+    x = Var("x")
+    pad = [(Clause(((False, Atom(f"pad{i}", (x,))),
+                    (True, Atom(f"pad{i + 1}", (x,))))), "left")
+           for i in range(50)]
+    base = prove_clausal(clauses, FAST)
+    padded = prove_clausal(clauses + pad, FAST)
+    assert base.proved and padded.proved
+    assert base.depth == 1
+    assert padded.depth == base.depth
+    assert padded.inferences == base.inferences
+    assert _preorder(padded) == _preorder(base)
 
 
 # ---------------------------------------------------------------------------
