@@ -20,8 +20,9 @@ from .formula import (
     subst_in_term, subst_vars, substitute_predicate,
 )
 from .preprocess import (
-    Clause, PIPELINES, PROTECT_ALL, clause_subst, clause_to_formula,
-    clause_vars, clausify, simplify_clausal, unskolemize, UnskolemizeError,
+    Clause, DeadlineExceeded, PIPELINES, PROTECT_ALL, clause_subst,
+    clause_to_formula, clause_vars, clausify, simplify_clausal, unskolemize,
+    UnskolemizeError,
 )
 
 
@@ -304,8 +305,8 @@ def _eliminate_pred(p, body, ctx, task, deadline):
     g = body
     if task.pre:
         g = PIPELINES[task.pre](g)
-    cf = clausify(g, "equivalence", ctx)
-    cf = simplify_clausal(cf, PROTECT_ALL)
+    cf = clausify(g, "equivalence", ctx, deadline)
+    cf = simplify_clausal(cf, PROTECT_ALL, deadline)
     skolems = dict(cf.skolems)
     last = None
     for def_sign in (True, False):
@@ -315,7 +316,7 @@ def _eliminate_pred(p, body, ctx, task, deadline):
             results = [_ackermann_case(p, arity, case, def_sign, ctx)
                        for case in cases]
             out = truth_simplify(disj(results))
-            return _restore_quantifiers(out, skolems, ctx)
+            return _restore_quantifiers(out, skolems, ctx, deadline)
         except _Resources:
             raise
         except EliminationError as e:
@@ -323,13 +324,13 @@ def _eliminate_pred(p, body, ctx, task, deadline):
     raise _Nonreducible(str(last))
 
 
-def _restore_quantifiers(f, skolems, ctx):
+def _restore_quantifiers(f, skolems, ctx, deadline):
     """Un-Skolemize symbols introduced during the elimination step."""
     if not skolems or not _mentions_skolems(f, skolems):
         return f
     try:
-        cf = clausify(f, "equivalence", ctx)
-        cf = simplify_clausal(cf, PROTECT_ALL)
+        cf = clausify(f, "equivalence", ctx, deadline)
+        cf = simplify_clausal(cf, PROTECT_ALL, deadline)
         return unskolemize(cf, ctx)
     except UnskolemizeError as e:
         raise _Nonreducible(f"cannot un-Skolemize result: {e}")
@@ -350,7 +351,7 @@ def eliminate(task: EliminationTask) -> EliminationOutcome:
     ctx.reserve_formula(f)
     try:
         out = _elim(f, ctx, task, deadline)
-    except _Resources as e:
+    except (_Resources, DeadlineExceeded) as e:
         return EliminationOutcome("resources", residue=f, reason=str(e))
     except EliminationError as e:
         return EliminationOutcome("nonreducible", residue=f, reason=str(e))

@@ -9,6 +9,7 @@ clausal form, simplify, and convert back; both preserve equivalence.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 
 from .formula import (
@@ -25,6 +26,15 @@ class PreprocessError(Exception):
 
 class UnskolemizeError(PreprocessError):
     pass
+
+
+class DeadlineExceeded(PreprocessError):
+    pass
+
+
+def _check_deadline(deadline, layer):
+    if deadline is not None and time.monotonic() > deadline:
+        raise DeadlineExceeded(f"{layer} timeout")
 
 
 Literal = tuple  # (sign: bool, Atom | Eq)
@@ -113,12 +123,14 @@ def _push_one(q, v, body):
 # Clausification
 
 def clausify(f: Formula, mode: str = "equivalence",
-             ctx: Context | None = None) -> ClausalForm:
+             ctx: Context | None = None, deadline=None) -> ClausalForm:
     """Convert a first-order, macro-free formula to clausal form.
 
     equivalence mode Skolemizes existentials (recorded, invertible by
     unskolemize); definitional mode introduces definition predicates for
-    shared disjunctive structure and is equisatisfiable."""
+    shared disjunctive structure and is equisatisfiable.  Past the
+    time.monotonic() deadline, if one is given, it raises
+    DeadlineExceeded."""
     if not is_first_order(f):
         raise PreprocessError("clausify requires a first-order formula")
     if ctx is None:
@@ -137,6 +149,7 @@ def clausify(f: Formula, mode: str = "equivalence",
         raise PreprocessError(f"unknown clausify mode {mode!r}")
     seen = set()
     for lits in clauses:
+        _check_deadline(deadline, "clausification")
         c = _mk_clause(lits)
         if c is None:
             continue
@@ -333,7 +346,10 @@ SUBSUMPTION_SIZE_CAP = 12
 
 
 def subsumes(c: Clause, d: Clause) -> bool:
-    """True if some instance of c is a sub-multiset of d."""
+    """True if some substitution maps every literal of c onto a literal
+    of d (θ-subsumption; two literals of c may map onto the same one)
+    and c has no more literals than d.  Over SUBSUMPTION_SIZE_CAP
+    literals it only compares the canonical keys (_clause_key)."""
     if len(c) > len(d):
         return False
     if len(c) > SUBSUMPTION_SIZE_CAP or len(d) > SUBSUMPTION_SIZE_CAP:
@@ -375,15 +391,16 @@ def _protected(protect, pred, arity):
 
 
 def simplify_clausal(cf: ClausalForm,
-                     protect: ProtectedVocabulary = PROTECT_ALL
-                     ) -> ClausalForm:
+                     protect: ProtectedVocabulary = PROTECT_ALL,
+                     deadline=None) -> ClausalForm:
     """Fixpoint of tautology/duplicate/subsumption deletion, equality
     resolution, unit subsumption resolution, and purity deletion for
     predicates outside the protected vocabulary.
 
     With protect = PROTECT_ALL every step preserves plain equivalence;
     otherwise the second-order equivalence over non-protected predicates
-    is preserved."""
+    is preserved.  Past the time.monotonic() deadline, if one is given,
+    it raises DeadlineExceeded."""
     clauses = list(cf.clauses)
     changed = True
     while changed:
@@ -391,6 +408,7 @@ def simplify_clausal(cf: ClausalForm,
         # per-clause normalization incl. equality resolution
         out = []
         for c in clauses:
+            _check_deadline(deadline, "clausal simplification")
             c2 = _simplify_clause(c)
             if c2 is None:
                 changed = True
@@ -406,6 +424,7 @@ def simplify_clausal(cf: ClausalForm,
         units = [c.literals[0] for c in clauses if len(c) == 1]
         out = []
         for c in clauses:
+            _check_deadline(deadline, "clausal simplification")
             lits = list(c.literals)
             kept = []
             for lit in lits:
@@ -418,19 +437,9 @@ def simplify_clausal(cf: ClausalForm,
             out.append(Clause(tuple(kept)) if len(kept) != len(lits) else c)
         clauses = out
         # subsumption (incl. duplicates)
-        kept = []
-        for i, c in enumerate(clauses):
-            dominated = False
-            for j, d in enumerate(clauses):
-                if i == j:
-                    continue
-                if subsumes(d, c) and not (subsumes(c, d) and j > i):
-                    dominated = True
-                    break
-            if dominated:
-                changed = True
-            else:
-                kept.append(c)
+        kept = _drop_subsumed(clauses, deadline)
+        if len(kept) != len(clauses):
+            changed = True
         clauses = kept
         # purity deletion
         pols = {}
@@ -453,6 +462,44 @@ def simplify_clausal(cf: ClausalForm,
                     kept.append(c)
             clauses = kept
     return ClausalForm(clauses, dict(cf.skolems), set(cf.definition_preds))
+
+
+def _features(c: Clause) -> frozenset:
+    """The features of c: (sign, pred, arity) of each atom, (sign, "=")
+    of each equality, and every function symbol, constants included.  A
+    clause that subsumes c has no feature that c lacks: matching maps each
+    literal onto one of the same sign and predicate and each pattern
+    functor onto the same functor, and clauses with equal canonical keys
+    have equal features."""
+    fs = {(s, "=") if isinstance(a, Eq) else (s, a.pred, len(a.args))
+          for s, a in c.literals}
+    fs.update(t.functor for t in clause_terms(c) if isinstance(t, Fn))
+    return frozenset(fs)
+
+
+def _drop_subsumed(clauses, deadline=None):
+    """The clauses that no other clause subsumes, in order; of clauses
+    that subsume each other only the first can be kept.
+
+    subsumes(d, c) needs len(d) <= len(c) and _features(d) <= _features(c),
+    so c is compared only with such clauses, shortest first."""
+    groups = {}   # feature set -> indices of the clauses that have it
+    for i, c in enumerate(clauses):
+        groups.setdefault(_features(c), []).append(i)
+    size = [len(c) for c in clauses]
+    dropped = [False] * len(clauses)
+    for fs, group in groups.items():
+        cands = sorted((j for k, g in groups.items() if k <= fs for j in g),
+                       key=size.__getitem__)
+        for i in group:
+            _check_deadline(deadline, "clausal simplification")
+            c = clauses[i]
+            dropped[i] = any(
+                j != i and subsumes(clauses[j], c)
+                and not (subsumes(c, clauses[j]) and j > i)
+                for j in itertools.takewhile(
+                    lambda j: size[j] <= size[i], cands))
+    return [c for c, d in zip(clauses, dropped) if not d]
 
 
 def _simplify_clause(c: Clause):

@@ -1,21 +1,25 @@
 """Second-order quantifier elimination (DLS/Ackermann) and its oracles."""
 
 import itertools
+import time
 
 import pytest
 
+from pie import preprocess
 from pie.elimination import (
     EliminationTask, eliminate, eliminate_propositional, eliminate_staged,
     truth_simplify,
 )
 from pie.formula import (
-    Exists2, PredSpec, free_symbols, is_first_order,
+    Context, Exists2, PredSpec, free_symbols, is_first_order,
 )
+from pie.macros import expand
 from pie.syntax import parse_formula, print_text
 
 from oracles import (
     fo_equivalent, prop_atoms, prop_corpus, truth_table,
 )
+from test_macros import CIRC, table_from
 
 
 def elim(src, **kw):
@@ -99,6 +103,64 @@ def test_resources_on_tiny_budget():
     out = elim("ex2(p, (all(x, (q(x) -> p(x))), all(x, (p(x) -> r(x)))))",
                timeout_ms=0)
     assert out.status in ("resources", "success")
+
+
+# ---------------------------------------------------------------------------
+# Circumscription of a knowledge base: one cause and a chain of links
+
+def circ_chain(links):
+    """circ(wet, kb) with kb: rain -> wet(c0), wet(ci) -> wet(ci+1)."""
+    kb = ", ".join(["(rain -> wet(c0))"] + [
+        f"(wet(c{i}) -> wet(c{i + 1}))" for i in range(links)])
+    table = table_from(CIRC, f"def(kb) :: {kb}")
+    return expand(table, parse_formula("circ(wet, kb)"), Context())
+
+
+CHAIN3 = ("(rain->wet(c0)), (wet(c0)->wet(c1)), (wet(c1)->wet(c2)), "
+          "(wet(c2)->wet(c3)), ")
+# recorded from the all-pairs subsumption step that the feature index
+# replaced
+PINNED_CIRC = {
+    None: CHAIN3 + "~((rain->wet(c0)), (rain->wet(c3)), (rain->wet(c2)), "
+    "(rain->wet(c1)), ex(y, (~(rain, y=c1), ~(rain, y=c2), ~(rain, y=c3), "
+    "~(y=c0, rain), wet(y))))",
+    "c6": CHAIN3 + "all(x, (wet(x)->rain)), all(x, (wet(c0), wet(c3), "
+    "wet(c2), wet(c1), wet(x)->x=c1; x=c2; x=c3; x=c0))",
+}
+
+
+@pytest.mark.parametrize("simp", [None, "c6"])
+def test_circumscription_of_chain_is_pinned(simp):
+    out = eliminate(EliminationTask(circ_chain(3), simp_result=simp))
+    assert out.status == "success", out.reason
+    assert print_text(out.result) == PINNED_CIRC[simp]
+
+
+def test_subsumption_counts_do_not_grow(monkeypatch):
+    # a machine-independent guard: un-Skolemizing this result simplifies
+    # 1,564 clauses down to 9, which took 702,953 subsumes calls when
+    # every pair of clauses was compared
+    calls = [0]
+    subsumes = preprocess.subsumes
+
+    def counted(c, d):
+        calls[0] += 1
+        return subsumes(c, d)
+
+    monkeypatch.setattr(preprocess, "subsumes", counted)
+    out = eliminate(EliminationTask(circ_chain(3), simp_result="c6"))
+    assert out.status == "success"
+    assert calls[0] <= 9206
+
+
+def test_deadline_reaches_restore_quantifiers():
+    # over four links clausifying and simplifying the result takes about
+    # 15 s on its own
+    t0 = time.monotonic()
+    out = eliminate(EliminationTask(circ_chain(4), timeout_ms=1000))
+    assert out.status == "resources"
+    assert "timeout" in out.reason
+    assert time.monotonic() - t0 < 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from pie.formula import Atom, Context, Eq, Fn, Var, free_symbols, neg
 from pie.preprocess import (
-    Clause, PROTECT_ALL, ProtectedVocabulary, UnskolemizeError, clausify,
-    clauses_to_formula, pipeline_c6, pipeline_d6, simplify_clausal,
-    subsumes, unskolemize,
+    Clause, PROTECT_ALL, ProtectedVocabulary, SUBSUMPTION_SIZE_CAP,
+    UnskolemizeError, _drop_subsumed, _features, clausify,
+    clauses_to_formula, lit_subst, pipeline_c6, pipeline_d6,
+    simplify_clausal, subsumes, unskolemize,
 )
 from pie.syntax import parse_formula, print_text
 
@@ -116,6 +117,108 @@ def test_subsumes_basic():
     d = clausify(parse_formula("p(a) ; q")).clauses[0]
     assert subsumes(c, d)
     assert not subsumes(d, c)
+
+
+# Random clauses over a small vocabulary, so that instances, variants,
+# repeated variables and mutual subsumers come up often: p is used with
+# two arities, f and g nest, a and b are constants.  Terms come from a
+# fixed pool, which keeps generation cheap.
+VARS = ("X", "Y", "Z")
+X, Y, Z = (Var(v) for v in VARS)
+A, B = Fn("a"), Fn("b")
+TERM_POOL = [X, Y, Z, A, B, Fn("f", (X,)), Fn("f", (A,)), Fn("g", (X, Y)),
+             Fn("g", (X, X)), Fn("f", (Fn("f", (Y,)),)),
+             Fn("g", (A, Fn("f", (Z,)))), Fn("f", (Fn("g", (X, B)),))]
+terms = st.sampled_from(TERM_POOL)
+atoms = st.one_of(
+    st.builds(lambda t: Atom("p", (t,)), terms),
+    st.builds(lambda s, t: Atom("p", (s, t)), terms, terms),
+    st.builds(lambda t: Atom("q", (t,)), terms),
+    st.just(Atom("r")),
+    st.builds(Eq, terms, terms))
+literals = st.tuples(st.booleans(), atoms)
+# clauses over the cap are compared by canonical key only; clauses of at
+# most five literals keep the backtracking matcher fast
+LONG = (SUBSUMPTION_SIZE_CAP + 1, SUBSUMPTION_SIZE_CAP + 3)
+
+
+def clauses(min_size=0, max_size=5):
+    return st.lists(literals, min_size=min_size, max_size=max_size).map(
+        lambda ls: Clause(tuple(ls)))
+
+
+def related(draw, d):
+    """A clause drawn to stand in some relation to d: the same literals
+    reordered, a variant, an instance with extra literals, or unrelated."""
+    kind = draw(st.sampled_from(["permutation", "variant", "instance",
+                                 "other"]))
+    if kind == "permutation":
+        return Clause(tuple(draw(st.permutations(d.literals))))
+    if kind == "variant":
+        names = draw(st.permutations(VARS))
+        ren = {v: Var(w) for v, w in zip(VARS, names)}
+        return Clause(tuple(lit_subst(l, ren) for l in d.literals))
+    if kind == "instance" and len(d) < LONG[0]:
+        theta = draw(st.fixed_dictionaries({v: terms for v in VARS}))
+        lits = [lit_subst(l, theta) for l in d.literals]
+        lits += draw(st.lists(literals, max_size=2))
+        return Clause(tuple(draw(st.permutations(lits))))
+    if len(d) >= LONG[0]:
+        return draw(clauses(*LONG))
+    return draw(clauses())
+
+
+@st.composite
+def clause_pairs(draw):
+    d = draw(st.one_of(clauses(), clauses(*LONG)))
+    return d, related(draw, d)
+
+
+@st.composite
+def clause_lists(draw):
+    out = draw(st.lists(clauses(max_size=4), min_size=1, max_size=4))
+    out += draw(st.lists(clauses(*LONG), max_size=1))
+    for _ in range(draw(st.integers(0, 12))):
+        out.append(related(draw, draw(st.sampled_from(out))))
+    return draw(st.permutations(out))
+
+
+@given(clause_pairs())
+@settings(deadline=None, max_examples=200)
+def test_subsumption_needs_shorter_clause_and_feature_subset(pair):
+    d, c = pair
+    if subsumes(d, c):
+        assert len(d) <= len(c)
+        assert _features(d) <= _features(c)
+
+
+def drop_subsumed_all_pairs(clauses):
+    """The reference for _drop_subsumed: compare every pair."""
+    kept = []
+    for i, c in enumerate(clauses):
+        if not any(i != j and subsumes(d, c) and not (subsumes(c, d) and j > i)
+                   for j, d in enumerate(clauses)):
+            kept.append(c)
+    return kept
+
+
+@given(clause_lists())
+@settings(deadline=None, max_examples=150)
+def test_drop_subsumed_matches_all_pairs(clauses):
+    assert _drop_subsumed(clauses) == drop_subsumed_all_pairs(clauses)
+
+
+def test_drop_subsumed_keeps_first_of_mutual_subsumers():
+    twice = Clause(((True, Atom("p", (X,))), (True, Atom("p", (X,)))))
+    pair = Clause(((True, Atom("p", (X,))), (True, Atom("p", (Y,)))))
+    unit = Clause(((True, Atom("p", (A,))),))
+    wider = Clause(((True, Atom("p", (A,))), (True, Atom("q", (A,)))))
+    # twice and pair subsume each other, both subsume wider, and neither
+    # subsumes unit, which is shorter
+    assert subsumes(twice, pair) and subsumes(pair, twice)
+    clauses = [wider, pair, unit, twice, pair]
+    assert _drop_subsumed(clauses) == [pair, unit]
+    assert drop_subsumed_all_pairs(clauses) == [pair, unit]
 
 
 # ---------------------------------------------------------------------------
