@@ -16,13 +16,12 @@ from .formula import (
     And, Atom, Context, Eq, Exists, Exists2, FALSE, Falsity, ForAll, ForAll2,
     Formula, Iff, Implies, Lambda, LambdaApp, MacroCall, Not, Or, PredSpec,
     TRUE, Truth, Var, all_names, beta_reduce, conj, disj, exists, forall,
-    free_symbols, free_vars, map_children, neg, nnf, predicate_arities,
-    subst_in_term, subst_vars, substitute_predicate,
+    free_symbols, free_vars, is_first_order, map_children, neg, nnf,
+    predicate_arities, subst_in_term, subst_vars, substitute_predicate,
 )
 from .preprocess import (
-    Clause, DeadlineExceeded, PIPELINES, PROTECT_ALL, clause_subst,
-    clause_to_formula, clause_vars, clausify, simplify_clausal, unskolemize,
-    UnskolemizeError,
+    Clause, DeadlineExceeded, PIPELINES, clause_subst, clause_to_formula,
+    clause_vars, clausify_simplified, unskolemize, UnskolemizeError,
 )
 
 
@@ -291,9 +290,10 @@ def _ackermann_case(p, arity, clauses, def_sign, ctx):
     return ackermann_rewrite(PredSpec(p, arity), conj([head, b]))
 
 
-def _eliminate_pred(p, body, ctx, task, deadline):
+def _eliminate_pred(p, body, ctx, task, deadline, reserved):
     """∃p body with first-order body; returns an equivalent first-order
-    formula or raises."""
+    formula or raises.  reserved says that ctx holds every name of
+    body."""
     if time.monotonic() > deadline:
         raise _Resources("elimination timeout")
     arities = predicate_arities(body).get(p, set())
@@ -304,9 +304,12 @@ def _eliminate_pred(p, body, ctx, task, deadline):
     arity = next(iter(arities))
     g = body
     if task.pre:
+        # the pipeline names its variables from a Context of its own
         g = PIPELINES[task.pre](g)
-    cf = clausify(g, "equivalence", ctx, deadline)
-    cf = simplify_clausal(cf, PROTECT_ALL, deadline)
+        reserved = False
+    if not reserved:
+        ctx.reserve_formula(g)
+    cf = clausify_simplified(g, ctx, deadline)
     skolems = dict(cf.skolems)
     last = None
     for def_sign in (True, False):
@@ -326,18 +329,16 @@ def _eliminate_pred(p, body, ctx, task, deadline):
 
 def _restore_quantifiers(f, skolems, ctx, deadline):
     """Un-Skolemize symbols introduced during the elimination step."""
-    if not skolems or not _mentions_skolems(f, skolems):
+    if not skolems:
         return f
+    names = all_names(f)
+    if names.isdisjoint(skolems):
+        return f
+    ctx.reserve(names)   # f has the Ackermann step's bound variables
     try:
-        cf = clausify(f, "equivalence", ctx, deadline)
-        cf = simplify_clausal(cf, PROTECT_ALL, deadline)
-        return unskolemize(cf, ctx)
+        return unskolemize(clausify_simplified(f, ctx, deadline), ctx)
     except UnskolemizeError as e:
         raise _Nonreducible(f"cannot un-Skolemize result: {e}")
-
-
-def _mentions_skolems(f, skolems):
-    return bool(all_names(f) & set(skolems))
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +364,15 @@ def eliminate(task: EliminationTask) -> EliminationOutcome:
 
 def _elim(f, ctx, task, deadline):
     if isinstance(f, Exists2):
+        # eliminate reserved the names of its input, which f.body keeps
+        # unless it holds quantifiers for _elim to eliminate first
+        reserved = is_first_order(f.body)
         body = _elim(f.body, ctx, task, deadline)
         for p in f.preds:
-            body = _eliminate_pred(p.name, body, ctx, task, deadline)
+            body = _eliminate_pred(p.name, body, ctx, task, deadline,
+                                   reserved)
             body = truth_simplify(body)
+            reserved = False
         return body
     if isinstance(f, ForAll2):
         dual = Exists2(f.preds, nnf(neg(f.body)))

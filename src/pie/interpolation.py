@@ -7,6 +7,7 @@ side are generalized to quantified variables.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from .formula import (
@@ -14,10 +15,13 @@ from .formula import (
     Var, atom_terms, conj, disj, free_symbols, is_first_order, map_atom,
     map_children, neg, subformulas, subterms,
 )
-from .preprocess import PROTECT_ALL, clause_terms, clausify, simplify_clausal
+from .preprocess import (
+    DeadlineExceeded, clause_terms, clausify, clausify_simplified,
+)
 from .prover import (
     Model, ProofResult, ProverConfig, TableauNode, check_tableau,
-    find_countermodel, prove_clausal, reduce_so_universal, side_clauses,
+    find_countermodel, out_of_time, prove_clausal, reduce_so_universal,
+    side_clauses, time_left,
 )
 
 
@@ -153,6 +157,8 @@ def interpolate(task: InterpolationTask,
     """Compute a Craig-Lyndon interpolant for task.left -> task.right."""
     if config is None:
         config = ProverConfig()
+    t0 = time.monotonic()
+    deadline = t0 + config.timeout_ms / 1000.0
     left, right = task.left, task.right
     if not (is_first_order(left) and is_first_order(right)):
         # validity-preserving second-order reduction of the implication
@@ -164,13 +170,17 @@ def interpolate(task: InterpolationTask,
     ctx = Context()
     ctx.reserve_formula(left)
     ctx.reserve_formula(right)
-    left_cf = clausify(left, "equivalence", ctx)
-    right_cf = clausify(neg(right), "equivalence", ctx)
-    if task.simp_sides:
-        left_cf = simplify_clausal(left_cf, PROTECT_ALL)
-        right_cf = simplify_clausal(right_cf, PROTECT_ALL)
+    try:
+        if task.simp_sides:
+            left_cf = clausify_simplified(left, ctx, deadline)
+            right_cf = clausify_simplified(neg(right), ctx, deadline)
+        else:
+            left_cf = clausify(left, "equivalence", ctx, deadline)
+            right_cf = clausify(neg(right), "equivalence", ctx, deadline)
+    except DeadlineExceeded as e:
+        return Interpolant(FALSE, proof=out_of_time(e, t0), status="failed")
     result = prove_clausal(side_clauses(left_cf.clauses, right_cf.clauses),
-                           config)
+                           time_left(config, deadline))
     if not result.proved:
         m = find_countermodel(Implies(left, right), max_size=3,
                               timeout_ms=min(config.timeout_ms, 2000))

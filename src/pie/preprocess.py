@@ -128,39 +128,104 @@ def clausify(f: Formula, mode: str = "equivalence",
 
     equivalence mode Skolemizes existentials (recorded, invertible by
     unskolemize); definitional mode introduces definition predicates for
-    shared disjunctive structure and is equisatisfiable.  Past the
-    time.monotonic() deadline, if one is given, it raises
-    DeadlineExceeded."""
+    shared disjunctive structure and is equisatisfiable.  Fresh names
+    avoid every name of f only when ctx is None; a caller that passes a
+    ctx reserves the names of f in it first.  Tautologies, repeated
+    literals and clauses that repeat an earlier one up to variable names
+    are left out.  Past the time.monotonic() deadline, if one is given,
+    it raises DeadlineExceeded."""
+    return _clausify(f, mode, ctx, deadline, subsume=False)
+
+
+def clausify_simplified(f: Formula, ctx: Context | None = None,
+                        deadline=None) -> ClausalForm:
+    """simplify_clausal(clausify(f, "equivalence", ctx, deadline),
+    PROTECT_ALL, deadline), the same clauses in the same order, but made
+    without the product clauses that an earlier clause subsumes: _cnf
+    drops them while it multiplies out, so they are never built,
+    deduplicated or compared."""
+    return simplify_clausal(
+        _clausify(f, "equivalence", ctx, deadline, subsume=True),
+        PROTECT_ALL, deadline)
+
+
+def _clausify(f, mode, ctx, deadline, subsume):
     if not is_first_order(f):
         raise PreprocessError("clausify requires a first-order formula")
     if ctx is None:
         ctx = Context()
-    ctx.reserve_formula(f)
+        ctx.reserve_formula(f)
     fv = sorted(free_vars(f))
     g = forall(fv, f)
     g = miniscope(nnf(rename_bound(g)))
     cf = ClausalForm([], {}, set())
     if mode == "equivalence":
         matrix = _skolemize(g, [], cf, ctx)
-        clauses = _cnf(matrix)
+        cf.clauses = _distinct(map(Clause, _cnf(matrix, deadline, subsume)),
+                               deadline)
+        if subsume and _units_clash(cf.clauses):
+            # simplify_clausal keeps shortened copies of clauses that a
+            # clashing unit subsumes, so they must not be left out
+            cf.clauses = _distinct(map(Clause, _cnf(matrix, deadline)),
+                                   deadline)
     elif mode == "definitional":
-        clauses = _definitional(g, [], cf, ctx)
+        cf.clauses = _distinct(
+            map(_mk_clause, _definitional(g, [], cf, ctx)), deadline)
     else:
         raise PreprocessError(f"unknown clausify mode {mode!r}")
+    return cf
+
+
+def _distinct(clauses, deadline):
+    """The clauses, None left out, without those that repeat an earlier
+    one up to variable names; just the empty clause if there is one."""
     seen = set()
-    for lits in clauses:
+    out = []
+    reprs = {}      # id(literal) -> (literal, repr), the literal kept alive
+
+    def order(lit):     # clauses share their literal objects
+        r = reprs.get(id(lit))
+        if r is None:
+            r = reprs[id(lit)] = (lit, repr(lit))
+        return r[1]
+
+    for c in clauses:
         _check_deadline(deadline, "clausification")
-        c = _mk_clause(lits)
         if c is None:
             continue
-        key = _clause_key(c)
+        key = _clause_key(c, order)
         if key in seen:
             continue
         seen.add(key)
-        cf.clauses.append(c)
-    if any(len(c) == 0 for c in cf.clauses):
-        cf.clauses = [Clause(())]
-    return cf
+        out.append(c)
+    if any(len(c) == 0 for c in out):
+        return [Clause(())]
+    return out
+
+
+def _units_clash(clauses):
+    """Whether, after equality resolution, one unit clause is an instance
+    of the complement of another."""
+    units = {}
+    for c in clauses:
+        if len({(s, pred_key(a)) for s, a in c.literals
+                if s or type(a) is not Eq}) > 1:
+            continue    # two literals that cannot vanish or merge
+        if any(not s and type(a) is Eq for s, a in c.literals):
+            c = _simplify_clause(c)     # equality resolution
+            if c is None:
+                continue
+        if len(c) == 1:
+            s, a = c.literals[0]
+            units.setdefault((s, pred_key(a)), []).append(c.literals[0])
+    return any(match_lit(u, lit_complement(v), {})
+               for (s, key), vs in units.items() for v in vs
+               for u in units.get((not s, key), ()))
+
+
+def pred_key(a):
+    """The predicate of an atom: (name, arity), or "=" for an equality."""
+    return "=" if isinstance(a, Eq) else (a.pred, len(a.args))
 
 
 def _skolemize(g, univ, cf, ctx):
@@ -189,29 +254,174 @@ def _skolem_body(g: Exists, univ, cf, ctx):
     return subst_vars(g.body, mapping)
 
 
-def _cnf(g):
+def _cnf(g, deadline=None, subsume=False):
     """Distribute a quantifier-free NNF matrix into a list of literal
-    lists."""
-    if isinstance(g, Truth):
-        return []
-    if isinstance(g, Falsity):
-        return [[]]
-    if isinstance(g, And):
-        out = []
+    tuples.
+
+    An Or is multiplied out one argument at a time.  A product clause
+    that holds t=t or a complementary pair is dropped as soon as it is
+    made, and so is one whose literal set equals an earlier one; a
+    repeated literal and t!=t are left out of it.  clausify would remove
+    all of these, and every clause made from them, so its output is the
+    same.  With subsume, a clause is also dropped when the literals of an
+    earlier kept clause are a subset of its own (see _Products.keep).
+    Past the time.monotonic() deadline, if one is given, it raises
+    DeadlineExceeded."""
+    run = _Products(deadline, subsume and _resolved_apart(g) is not None)
+    lit = run.lits.__getitem__
+    return [tuple(map(lit, ids)) for ids, _ in run.cnf(g, 0)]
+
+
+def _resolved_apart(g):
+    """The variables of the x!=t literals with a variable side in g, or
+    None if two arguments of an Or share one.  Without None, the x!=t
+    literals of one product clause have no variable in common, so
+    equality resolution gives the same result in any order."""
+    t = type(g)
+    if t is And or t is Or:
+        out = set()
         for a in g.args:
-            out.extend(_cnf(a))
+            vs = _resolved_apart(a)
+            if vs is None or (t is Or and vs & out):
+                return None
+            out |= vs
         return out
-    if isinstance(g, Or):
-        parts = [_cnf(a) for a in g.args]
-        out = [[]]
-        for p in parts:
-            out = [c1 + c2 for c1 in out for c2 in p]
+    if t is Not and type(g.arg) is Eq and (
+            type(g.arg.lhs) is Var or type(g.arg.rhs) is Var):
+        return free_vars_term(g.arg.lhs) | free_vars_term(g.arg.rhs)
+    return set()
+
+
+class _Products:
+    """One _cnf run.  The j-th distinct atom gives the literal ids 2j
+    (negative) and 2j+1 (positive), and a clause is a pair (tuple of
+    literal ids, int mask with bit i set for each id i)."""
+
+    def __init__(self, deadline, subsume):
+        self.deadline = deadline
+        self.subsume = subsume
+        self.atoms = {}      # atom -> j
+        self.lits = []       # id -> literal
+        self.same = []       # id -> bits of it and its mirror image a=b/b=a
+        self.veqs = 0        # bits of x!=t literals with a variable side
+        self.widths = {}     # id(node) -> its width (see width)
+
+    def _atom(self, a):
+        j = self.atoms.get(a)
+        if j is None:
+            j = self.atoms[a] = len(self.lits) // 2
+            self.lits += [(False, a), (True, a)]
+            self.same += [1 << 2 * j, 1 << 2 * j + 1]
+        return j
+
+    def literal(self, s, a):
+        if type(a) is Eq:
+            if a.lhs == a.rhs:
+                return [] if s else [((), 0)]    # t=t is true, t!=t false
+            if a not in self.atoms:
+                j, k = self._atom(a), self._atom(Eq(a.rhs, a.lhs))
+                for b in (0, 1):
+                    self.same[2 * j + b] = self.same[2 * k + b] = \
+                        (1 << 2 * j + b) | (1 << 2 * k + b)
+                if isinstance(a.lhs, Var) or isinstance(a.rhs, Var):
+                    self.veqs |= (1 << 2 * j) | (1 << 2 * k)
+        i = 2 * self._atom(a) + s
+        return [((i,), 1 << i)]
+
+    def join(self, c1, c2):
+        """c1 followed by the literals of c2 it lacks, or None if the
+        result holds a complementary pair."""
+        ids, m = c1
+        same = self.same
+        for i in c2[0]:
+            if m & same[i]:
+                continue
+            if m & same[i ^ 1]:
+                return None
+            m |= 1 << i
+            ids += (i,)
+        return ids, m
+
+    def width(self, g):
+        """The most literals a clause of g can have."""
+        t = type(g)
+        if t is not And and t is not Or:
+            return 0 if t is Truth or t is Falsity else 1
+        w = self.widths.get(id(g))
+        if w is None:
+            ws = map(self.width, g.args)
+            w = sum(ws) if t is Or else max(ws, default=0)
+            self.widths[id(g)] = w
+        return w
+
+    def cnf(self, g, slack):
+        """The clauses of g; an enclosing Or adds at most slack literals
+        to each of them."""
+        t = type(g)
+        if t is Or:
+            # the slack matters only to the subset filter
+            widths = [self.width(a) if self.subsume else 0 for a in g.args]
+            total = rest = sum(widths)
+            out = [((), 0)]
+            for a, w in zip(g.args, widths):
+                rest -= w
+                part = self.cnf(a, slack + total - w)
+                if len(out) == 1 and len(part) == 1:
+                    if self.deadline is not None:
+                        _check_deadline(self.deadline, "clausification")
+                    c = self.join(out[0], part[0])
+                    out = [c] if c else []
+                else:
+                    out = self.keep((self.join(c1, c2)
+                                     for c1 in out for c2 in part),
+                                    slack + rest)
+            return out
+        if t is And:
+            return self.keep(
+                [c for a in g.args for c in self.cnf(a, slack)], slack)
+        if t is Not:
+            return self.literal(False, g.arg)
+        if t is Atom or t is Eq:
+            return self.literal(True, g)
+        if t is Truth:
+            return []
+        if t is Falsity:
+            return [((), 0)]
+        raise PreprocessError(f"unexpected node in CNF matrix: {g!r}")
+
+    def keep(self, clauses, slack):
+        """The clauses, in order, without None and repeated literal sets.
+
+        With subsume, a clause D is dropped too when an earlier kept
+        clause C has a subset of its literals and the same x!=t literals
+        with a variable side, and D, with the slack literals an enclosing
+        Or adds, cannot pass SUBSUMPTION_SIZE_CAP.  Each final clause made
+        from D then has one made from C earlier (or one with C's literals
+        up to variable names), and simplify_clausal removes it in its
+        first round: equality resolution applies the same substitution to
+        both (see _resolved_apart), unit resolution shortens both alike
+        unless units clash (see _clausify), and subsumes matches C onto D
+        literal for literal.  Kept clauses are filed under their x!=t
+        literals and their newest literal, which D must have too, so D is
+        compared only with the clauses in its own literals' buckets."""
+        out, seen, index = [], set(), {}
+        deadline, subsume = self.deadline, self.subsume
+        for c in clauses:
+            if deadline is not None:
+                _check_deadline(deadline, "clausification")
+            if c is None or c[1] in seen:
+                continue
+            ids, m = c
+            seen.add(m)
+            if subsume:
+                v = m & self.veqs   # veqs grows while clauses is consumed
+                if index and len(ids) + slack <= SUBSUMPTION_SIZE_CAP and any(
+                        not k & ~m
+                        for i in ids for k in index.get((v, i), ())):
+                    continue
+                index.setdefault((v, m.bit_length() - 1), []).append(m)
+            out.append(c)
         return out
-    if isinstance(g, Not):
-        return [[(False, g.arg)]]
-    if isinstance(g, (Atom, Eq)):
-        return [[(True, g)]]
-    raise PreprocessError(f"unexpected node in CNF matrix: {g!r}")
 
 
 def _is_literalish(g):
@@ -272,8 +482,8 @@ def _mk_clause(lits):
         if isinstance(a, Eq) and not s and a.lhs == a.rhs:
             continue     # t!=t is false, drop the literal
         if isinstance(a, Eq):
-            sides = tuple(sorted((a.lhs, a.rhs), key=repr))
-            key, ckey = (s, "=", sides), (not s, "=", sides)
+            sides = frozenset((a.lhs, a.rhs))
+            key, ckey = (s, sides), (not s, sides)
         else:
             key, ckey = (s, a), (not s, a)
         if ckey in seen:
@@ -285,10 +495,13 @@ def _mk_clause(lits):
     return Clause(tuple(out))
 
 
-def _clause_key(c: Clause):
+def _clause_key(c: Clause, order=repr):
+    """c up to variable names: its literals sorted by order (their repr,
+    or a function that gives the same), variables named by first use."""
     ren = {}
     parts = []
-    for s, a in sorted(c.literals, key=lambda l: repr(l)):
+    lits = sorted(c.literals, key=order) if len(c) > 1 else c.literals
+    for s, a in lits:
         parts.append((s, _canon(a, ren)))
     return tuple(parts)
 
@@ -715,10 +928,8 @@ def pipeline_c6(f: Formula) -> Formula:
     back to the input if un-Skolemization is not invertible."""
     if not is_first_order(f):
         raise PreprocessError("pipeline c6 requires a first-order formula")
-    cf = clausify(f, "equivalence")
-    cf = simplify_clausal(cf, PROTECT_ALL)
     try:
-        return unskolemize(cf)
+        return unskolemize(clausify_simplified(f))
     except UnskolemizeError:
         return f
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .formula import (
     And, Atom, Context, Eq, Exists, Exists2, Falsity, Fn, ForAll, ForAll2,
@@ -22,7 +22,9 @@ from .formula import (
     free_symbols, free_vars, is_first_order, map_atom, map_term, neg,
     predicate_arities, substitute_predicate,
 )
-from .preprocess import Clause, clause_terms, clausify, match_lit
+from .preprocess import (
+    Clause, DeadlineExceeded, clause_terms, clausify, match_lit, pred_key,
+)
 
 
 class ProverError(Exception):
@@ -125,11 +127,6 @@ def _unify(a, b, env, trail):
     return all(_unify(x, y, env, trail) for x, y in zip(a.args, b.args))
 
 
-def _pred_key(a):
-    """The predicate of an atom, as the connection index files it."""
-    return "=" if isinstance(a, Eq) else (a.pred, len(a.args))
-
-
 def _unify_atoms(a, b, env, trail):
     if isinstance(a, Eq) != isinstance(b, Eq):
         return False
@@ -201,7 +198,7 @@ class _Search:
         self.index = {}
         for idx, (cl, _side) in enumerate(clauses):
             for i, (s, a) in enumerate(cl.literals):
-                self.index.setdefault((s, _pred_key(a)), []).append((idx, i))
+                self.index.setdefault((s, pred_key(a)), []).append((idx, i))
 
     def _tick(self):
         self.inferences += 1
@@ -237,7 +234,7 @@ class _Search:
         if depth <= 0:
             return
         # extension with an input clause whose literal can connect
-        for idx, i in self.index.get((not sign, _pred_key(atom)), ()):
+        for idx, i in self.index.get((not sign, pred_key(atom)), ()):
             cl, side = self.clauses[idx]
             self._tick()
             mark = len(self.trail)
@@ -394,7 +391,7 @@ def reduce_so_universal(f: Formula, ctx: Context | None = None) -> Formula:
     are dropped after renaming the bound predicates fresh."""
     if ctx is None:
         ctx = Context()
-    ctx.reserve_formula(f)
+        ctx.reserve_formula(f)
 
     def walk(g, pol):
         if isinstance(g, (Atom, Eq, Truth, Falsity)):
@@ -449,26 +446,57 @@ def side_clauses(left, right) -> list:
     return clauses
 
 
+def time_left(config: ProverConfig, deadline) -> ProverConfig:
+    """config with the time left until the time.monotonic() deadline as
+    its timeout."""
+    ms = max(0, int((deadline - time.monotonic()) * 1000))
+    return replace(config, timeout_ms=ms)
+
+
+def out_of_time(e: DeadlineExceeded, t0) -> ProofResult:
+    """The failed result of a proof attempt, begun at time.monotonic()
+    t0, whose clausification ran out of time."""
+    return ProofResult(False, elapsed_ms=(time.monotonic() - t0) * 1000,
+                       reason=str(e))
+
+
 def prove(f: Formula, config: ProverConfig | None = None) -> ProofResult:
-    """Attempt to prove that f is valid by refuting its negation."""
+    """Attempt to prove that f is valid by refuting its negation, all
+    within config.timeout_ms."""
+    if config is None:
+        config = ProverConfig()
+    t0 = time.monotonic()
+    deadline = t0 + config.timeout_ms / 1000.0
     ctx = Context()
     ctx.reserve_formula(f)
     if not is_first_order(f):
         f = reduce_so_universal(f, ctx)
-    cf = clausify(neg(f), "equivalence", ctx)
-    return prove_clausal(side_clauses(cf.clauses, []), config)
+    try:
+        cf = clausify(neg(f), "equivalence", ctx, deadline)
+    except DeadlineExceeded as e:
+        return out_of_time(e, t0)
+    return prove_clausal(side_clauses(cf.clauses, []),
+                         time_left(config, deadline))
 
 
 def prove_implication(left: Formula, right: Formula,
                       config: ProverConfig | None = None) -> ProofResult:
-    """Refute left ∧ ¬right with side labels for interpolation."""
+    """Refute left ∧ ¬right with side labels for interpolation, all
+    within config.timeout_ms."""
+    if config is None:
+        config = ProverConfig()
+    t0 = time.monotonic()
+    deadline = t0 + config.timeout_ms / 1000.0
     ctx = Context()
     ctx.reserve_formula(left)
     ctx.reserve_formula(right)
-    left_cf = clausify(left, "equivalence", ctx)
-    right_cf = clausify(neg(right), "equivalence", ctx)
+    try:
+        left_cf = clausify(left, "equivalence", ctx, deadline)
+        right_cf = clausify(neg(right), "equivalence", ctx, deadline)
+    except DeadlineExceeded as e:
+        return out_of_time(e, t0)
     return prove_clausal(side_clauses(left_cf.clauses, right_cf.clauses),
-                         config)
+                         time_left(config, deadline))
 
 
 # ---------------------------------------------------------------------------

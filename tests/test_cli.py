@@ -90,3 +90,10 @@ def test_env_timeout(capsys, monkeypatch):
     monkeypatch.setenv("PIE_TIMEOUT_MS", "50")
     code, out, _ = run(capsys, "valid", "p ; ~p")
     assert code == 0
+
+
+def test_deep_nesting_is_usage_error(capsys):
+    chain = " -> ".join(f"p{i}" for i in range(1000))
+    code, out, err = run(capsys, "valid", chain)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -129,6 +129,17 @@ PINNED_CIRC = {
 }
 
 
+CHAIN4 = CHAIN3 + "(wet(c3)->wet(c4)), "
+# recorded from the code that built every product clause
+PINNED_CIRC4 = {
+    None: CHAIN4 + "~((rain->wet(c0)), (rain->wet(c4)), (rain->wet(c3)), "
+    "(rain->wet(c2)), (rain->wet(c1)), ex(y, (~(rain, y=c1), ~(rain, y=c2), "
+    "~(rain, y=c3), ~(rain, y=c4), ~(y=c0, rain), wet(y))))",
+    "c6": CHAIN4 + "all(x, (wet(x)->rain)), all(x, (wet(c0), wet(c4), "
+    "wet(c3), wet(c2), wet(c1), wet(x)->x=c1; x=c2; x=c3; x=c4; x=c0))",
+}
+
+
 @pytest.mark.parametrize("simp", [None, "c6"])
 def test_circumscription_of_chain_is_pinned(simp):
     out = eliminate(EliminationTask(circ_chain(3), simp_result=simp))
@@ -139,7 +150,8 @@ def test_circumscription_of_chain_is_pinned(simp):
 def test_subsumption_counts_do_not_grow(monkeypatch):
     # a machine-independent guard: un-Skolemizing this result simplifies
     # 1,564 clauses down to 9, which took 702,953 subsumes calls when
-    # every pair of clauses was compared
+    # every pair of clauses was compared and 9,206 when the subsumed
+    # product clauses were still built
     calls = [0]
     subsumes = preprocess.subsumes
 
@@ -150,17 +162,42 @@ def test_subsumption_counts_do_not_grow(monkeypatch):
     monkeypatch.setattr(preprocess, "subsumes", counted)
     out = eliminate(EliminationTask(circ_chain(3), simp_result="c6"))
     assert out.status == "success"
-    assert calls[0] <= 9206
+    assert calls[0] <= 842
+
+
+def test_product_clauses_are_not_built_when_subsumed(monkeypatch):
+    # un-Skolemizing the result multiplied out 4,860 literal lists while
+    # every product clause was built
+    sizes = []
+    cnf = preprocess._cnf
+
+    def counted(*args):
+        out = cnf(*args)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(preprocess, "_cnf", counted)
+    out = eliminate(EliminationTask(circ_chain(3)))
+    assert out.status == "success"
+    assert max(sizes) <= 468
 
 
 def test_deadline_reaches_restore_quantifiers():
-    # over four links clausifying and simplifying the result takes about
-    # 15 s on its own
+    # over four links, clausifying and simplifying the result takes about
+    # 0.3 s, well over this budget
     t0 = time.monotonic()
-    out = eliminate(EliminationTask(circ_chain(4), timeout_ms=1000))
+    out = eliminate(EliminationTask(circ_chain(4), timeout_ms=100))
     assert out.status == "resources"
     assert "timeout" in out.reason
     assert time.monotonic() - t0 < 2.0
+
+
+@pytest.mark.parametrize("simp", [None, "c6"])
+def test_circumscription_of_longer_chain(simp):
+    # 13 to 16 s each while the subsumed product clauses were built
+    out = eliminate(EliminationTask(circ_chain(4), simp_result=simp))
+    assert out.status == "success", out.reason
+    assert print_text(out.result) == PINNED_CIRC4[simp]
 
 
 # ---------------------------------------------------------------------------

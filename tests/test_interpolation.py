@@ -1,6 +1,7 @@
 """Craig-Lyndon interpolation from side-labeled clausal tableaux."""
 
 import itertools
+import time
 
 import pytest
 
@@ -171,3 +172,16 @@ def test_dot_output_grammar(tmp_path):
     assert text.rstrip().endswith("}")
     assert "style=dashed" in text      # closure edges
     assert "lightgrey" in text         # right-side shading
+
+
+@pytest.mark.parametrize("simp_sides", [True, False])
+def test_interpolation_keeps_its_budget(simp_sides):
+    # the left side's clausal form has 2^18 clauses
+    d = " ; ".join(f"(a{i}, b{i})" for i in range(18))
+    f = parse_formula(f"({d}) -> ({d})")
+    t0 = time.monotonic()
+    out = interpolate(InterpolationTask(f.lhs, f.rhs, simp_sides=simp_sides),
+                      ProverConfig(timeout_ms=100))
+    assert time.monotonic() - t0 < 1.2 * 0.1 + 0.05
+    assert out.status == "failed"
+    assert out.proof.reason == "clausification timeout"

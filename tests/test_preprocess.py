@@ -5,12 +5,15 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pie.formula import Atom, Context, Eq, Fn, Var, free_symbols, neg
+from pie.formula import (
+    And, Atom, Context, Eq, Exists, Fn, ForAll, Not, Or, Var, free_symbols,
+    map_children, neg, nnf,
+)
 from pie.preprocess import (
     Clause, PROTECT_ALL, ProtectedVocabulary, SUBSUMPTION_SIZE_CAP,
-    UnskolemizeError, _drop_subsumed, _features, clausify,
-    clauses_to_formula, lit_subst, pipeline_c6, pipeline_d6,
-    simplify_clausal, subsumes, unskolemize,
+    UnskolemizeError, _clause_key, _cnf, _drop_subsumed, _features,
+    _mk_clause, clausify, clausify_simplified, clauses_to_formula, lit_subst,
+    pipeline_c6, pipeline_d6, simplify_clausal, subsumes, unskolemize,
 )
 from pie.syntax import parse_formula, print_text
 
@@ -219,6 +222,126 @@ def test_drop_subsumed_keeps_first_of_mutual_subsumers():
     clauses = [wider, pair, unit, twice, pair]
     assert _drop_subsumed(clauses) == [pair, unit]
     assert drop_subsumed_all_pairs(clauses) == [pair, unit]
+
+
+# ---------------------------------------------------------------------------
+# clausify_simplified: the subsumed product clauses are never built
+
+def simplified_both_ways(f):
+    """clausify_simplified(f) and the clausify + simplify_clausal it
+    stands for, as clause lists."""
+    return (clausify_simplified(f).clauses,
+            simplify_clausal(clausify(f), PROTECT_ALL).clauses)
+
+
+def test_cnf_drops_tautologies_repeats_and_duplicates():
+    g = parse_formula("(p ; q ; p ; ~(a=a)), (q ; p), (r ; ~r), (b=b ; s),"
+                      " (a=b ; ~(b=a) ; s)")
+    assert _cnf(g) == [((True, Atom("p")), (True, Atom("q")))]
+
+
+def all_products(g):
+    """The reference for _cnf: every clause the distributive law gives,
+    repeated literals, tautologies and repeated clauses included."""
+    if isinstance(g, And):
+        return [c for a in g.args for c in all_products(a)]
+    if isinstance(g, Or):
+        out = [[]]
+        for a in g.args:
+            out = [c1 + c2 for c1 in out for c2 in all_products(a)]
+        return out
+    if isinstance(g, Not):
+        return [[(False, g.arg)]]
+    return [[(True, g)]]
+
+
+def strip_quantifiers(f):
+    if isinstance(f, (ForAll, Exists)):
+        return strip_quantifiers(f.body)
+    return map_children(f, strip_quantifiers)
+
+
+def distinct_clauses(lists):
+    """The clauses clausify makes from literal lists."""
+    seen, out = set(), []
+    for lits in lists:
+        c = _mk_clause(lits)
+        if c is not None and _clause_key(c) not in seen:
+            seen.add(_clause_key(c))
+            out.append(c)
+    return out
+
+
+def test_cnf_subset_filter_is_off_by_default():
+    g = parse_formula("p, (p ; q)")
+    assert len(_cnf(g)) == 2
+    assert len(_cnf(g, subsume=True)) == 1
+
+
+# A unit whose complement is another unit: unit resolution shortens the
+# longer clause s ; r to r, which the unit s no longer subsumes, so the
+# clause may not be left out.
+UNIT_CLASH = "(s ; (s, (s ; r))), ~s"
+# Over the cap subsumes compares canonical keys only: the second clause
+# is kept, and clausify leaves out the third, a variant of it.
+WIDE = " ; ".join(f"l{i}" for i in range(SUBSUMPTION_SIZE_CAP))
+OVER_CAP = (f"all(x, (({WIDE} ; p(x)), ({WIDE} ; p(x) ; q(x)))), "
+            f"all(y, ({WIDE} ; p(y) ; q(y)))")
+# Equality resolution turns the second clause into the unit p(a), which
+# subsumes the first one.
+EQ_COLLAPSE = "all(x, ((p(x) ; p(a)), (p(x) ; p(a) ; ~(x = a))))"
+# x!=f(y) and x!=y share x, so equality resolution gives clauses that
+# differ with the order of a clause's literals, and clausify keeps only
+# the first order of each literal set.
+SHARED_VAR = ("all([x,y], ((~x=f(y), q, r(y) ; (~x=y ; ~y=y ; p(a,f(x))) ;"
+              " p(y,f(x))) ; ~x=f(y) ; ~x=y))")
+
+
+@pytest.mark.parametrize("src,lengths", [
+    (UNIT_CLASH, [1, 1, 1]),
+    (OVER_CAP, [SUBSUMPTION_SIZE_CAP + 1, SUBSUMPTION_SIZE_CAP + 2]),
+    (EQ_COLLAPSE, [1]),
+    (SHARED_VAR, [3, 4, 4]),
+])
+def test_clausify_simplified_keeps_what_simplification_keeps(src, lengths):
+    pruned, full = simplified_both_ways(parse_formula(src))
+    assert pruned == full
+    assert [len(c) for c in pruned] == lengths
+
+
+# Random formulas with variables, constants, a function, equalities,
+# quantifiers and nested ; and , so that products have instances,
+# subsets, equal literal sets and complementary pairs.
+F_TERMS = st.sampled_from([Var("x"), Var("y"), Fn("a"), Fn("b"),
+                           Fn("f", (Var("x"),)), Fn("f", (Fn("a"),))])
+F_ATOMS = st.one_of(
+    st.builds(lambda t: Atom("p", (t,)), F_TERMS),
+    st.builds(lambda s, t: Atom("q", (s, t)), F_TERMS, F_TERMS),
+    st.sampled_from([Atom("r"), Atom("s")]),
+    st.builds(Eq, F_TERMS, F_TERMS))
+FORMULAS = st.recursive(
+    st.one_of(F_ATOMS, F_ATOMS.map(Not)),
+    lambda sub: st.one_of(
+        st.lists(sub, min_size=2, max_size=3).map(lambda a: And(tuple(a))),
+        st.lists(sub, min_size=2, max_size=3).map(lambda a: Or(tuple(a))),
+        st.builds(lambda v, g: ForAll((v,), g), st.sampled_from("xy"), sub),
+        st.builds(lambda v, g: Exists((v,), g), st.sampled_from("xy"), sub),
+        sub.map(Not)),
+    max_leaves=14)
+
+
+@given(FORMULAS)
+@settings(deadline=None, max_examples=200)
+def test_cnf_makes_the_clauses_of_all_products(f):
+    g = nnf(strip_quantifiers(f))
+    assert distinct_clauses(_cnf(g)) == distinct_clauses(all_products(g))
+
+
+@given(FORMULAS)
+@settings(deadline=None, max_examples=400)
+def test_clausify_simplified_matches_clausify_then_simplify(f):
+    pruned, full = simplified_both_ways(f)
+    assert pruned == full, print_text(f)
 
 
 # ---------------------------------------------------------------------------

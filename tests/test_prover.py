@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,34 @@ def test_inference_limit_stops_search():
     assert not r.proved
     assert r.reason == "inference limit"
     assert r.inferences == 501
+
+
+def dnf_family(n):
+    """(a0,b0 ; ... ; an-1,bn-1) -> (the same): the negation's clausal
+    form has 2^n clauses."""
+    d = " ; ".join(f"(a{i}, b{i})" for i in range(n))
+    return parse_formula(f"({d}) -> ({d})")
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_prove_keeps_its_budget(n):
+    # with timeout_ms=500 these took 1.0 and 2.5 s while clausify ran
+    # without the deadline
+    t0 = time.monotonic()
+    r = prove(dnf_family(n), ProverConfig(timeout_ms=500))
+    assert time.monotonic() - t0 < 1.2 * 0.5 + 0.05
+    assert r.proved or r.reason in ("timeout", "clausification timeout")
+
+
+@pytest.mark.parametrize("attempt", [
+    lambda f, config: prove(f, config),
+    lambda f, config: prove_implication(f.lhs, f.rhs, config),
+])
+def test_clausification_timeout_is_named(attempt):
+    t0 = time.monotonic()
+    r = attempt(dnf_family(18), ProverConfig(timeout_ms=100))
+    assert time.monotonic() - t0 < 1.2 * 0.1 + 0.05
+    assert not r.proved and r.reason == "clausification timeout"
 
 
 # ---------------------------------------------------------------------------
