@@ -277,13 +277,18 @@ class _Search:
 
 
 def _start_order(clauses):
-    """Start clause preference: right-side clauses (from the negated
-    goal) first, then all-negative clauses, then the rest."""
-    def key(item):
-        idx, (cl, side) = item
-        all_neg = all(not s for s, _ in cl.literals)
-        return (0 if side == "right" else 1, 0 if all_neg else 1, idx)
-    return [i for i, _ in sorted(enumerate(clauses), key=key)]
+    """The start clauses: the all-negative clauses, right-side ones (from
+    the negated goal) first, then in input order.
+
+    This is complete: every minimally unsatisfiable subset of the input
+    contains an all-negative clause (otherwise making every atom true
+    would satisfy it), and a connection tableau for such a subset can
+    start from any of its clauses.  An input without an all-negative
+    clause is satisfiable and gets no start clause."""
+    starts = [(side != "right", idx)
+              for idx, (cl, side) in enumerate(clauses)
+              if not any(s for s, _ in cl.literals)]
+    return [idx for _, idx in sorted(starts)]
 
 
 def prove_clausal(clauses, config: ProverConfig | None = None
