@@ -2,9 +2,17 @@
 
 The prover searches for closed clausal tableaux by iterative deepening
 over tableau depth with regularity pruning and leftmost goal selection.
-A connection index, built once per search, lists for each sign and
-predicate the input literals a goal can connect to, so an extension
-renames a clause only when its literal has the goal's predicate.
+It starts only from all-negative clauses: every unsatisfiable clause set
+has a minimally unsatisfiable subset, that subset has an all-negative
+clause (or making every atom true would satisfy it), and a connection
+tableau for it can start from any of its clauses (Loveland 1978; Letz
+et al. 1992).  A connection index, built once per search, lists for each
+sign and predicate the input literals a goal can connect to; an
+extension renames a clause only when its literal has the goal's
+predicate and no function symbol that clashes with the goal, and a
+clause without variables is not renamed at all.  Each tableau node keeps
+its predicate key, so reduction and regularity look only at ancestors
+with the goal's predicate.
 Clauses carry a side label (left/right) that the interpolation module
 reads off the closed tableau.  Equality is handled by adding the
 standard axioms when '=' occurs in the input.
@@ -23,7 +31,8 @@ from .formula import (
     predicate_arities, substitute_predicate,
 )
 from .preprocess import (
-    Clause, DeadlineExceeded, clause_terms, clausify, match_lit, pred_key,
+    Clause, DeadlineExceeded, clause_terms, clause_vars, clausify, match_lit,
+    pred_key,
 )
 
 
@@ -53,6 +62,7 @@ class TableauNode:
     children: list = field(default_factory=list)
     closed_by: object = None   # TableauNode ancestor, or None for inner
     clause_index: int | None = None  # input clause used to expand here
+    pred_key: object = None    # pred_key of the literal's atom
 
     def leaves(self):
         if not self.children:
@@ -128,13 +138,25 @@ def _unify(a, b, env, trail):
 
 
 def _unify_atoms(a, b, env, trail):
-    if isinstance(a, Eq) != isinstance(b, Eq):
-        return False
-    if isinstance(a, Atom) and (a.pred != b.pred
-                                or len(a.args) != len(b.args)):
-        return False
+    """Unify two atoms with the same pred_key."""
     return all(_unify(x, y, env, trail)
                for x, y in zip(atom_terms(a), atom_terms(b)))
+
+
+def _clash(pats, ts, env):
+    """Whether the terms pats of an input clause, read with their
+    variables as wildcards, fail to match the terms ts under env in some
+    function symbol: then no renaming of the clause unifies with ts."""
+    for p, t in zip(pats, ts):
+        if isinstance(p, Var):
+            continue
+        t = _deref(t, env)
+        if isinstance(t, Var):
+            continue
+        if p.functor != t.functor or len(p.args) != len(t.args) \
+                or _clash(p.args, t.args, env):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +215,23 @@ class _Search:
         self.counter = [0]
         self.inferences = 0
         self.deadline = time.monotonic() + config.timeout_ms / 1000.0
-        # (sign, predicate key) -> [(clause index, literal index)], in
-        # clause order: the only input literals a goal can connect to
+        self.ground = {}    # clause index -> has no variables, once used
+        # each clause's literals' predicate keys, equal keys one object
+        # so that the ancestor scans can compare them with `is`, and
+        # (sign, predicate key) -> [(clause index, literal index, terms)],
+        # in clause order: the only input literals a goal can connect to
+        self.keys = []
         self.index = {}
+        shared = {}
         for idx, (cl, _side) in enumerate(clauses):
+            keys = []
             for i, (s, a) in enumerate(cl.literals):
-                self.index.setdefault((s, pred_key(a)), []).append((idx, i))
+                k = pred_key(a)
+                k = shared.setdefault(k, k)
+                keys.append(k)
+                self.index.setdefault((s, k), []).append(
+                    (idx, i, atom_terms(a)))
+            self.keys.append(keys)
 
     def _tick(self):
         self.inferences += 1
@@ -212,18 +245,30 @@ class _Search:
         while len(self.trail) > mark:
             del self.env[self.trail.pop()]
 
+    def instance(self, idx):
+        """Tableau nodes for the literals of a fresh instance of input
+        clause idx; a clause without variables is its own instance."""
+        cl, side = self.clauses[idx]
+        ground = self.ground.get(idx)
+        if ground is None:
+            ground = self.ground[idx] = not clause_vars(cl)
+        lits = cl.literals if ground else _rename_clause(cl, self.counter)
+        return [TableauNode(l, side, clause_index=idx, pred_key=k)
+                for l, k in zip(lits, self.keys[idx])]
+
     def solve(self, node, path, depth):
         """Yield once for every way to close the subtree at node."""
         self._tick()
         sign, atom = node.literal
+        key = node.pred_key
         # regularity: an open goal equal to an ancestor literal is pruned
         for anc in path:
-            if anc.literal[0] == sign and self._atoms_equal(
-                    anc.literal[1], atom):
+            if anc.pred_key is key and anc.literal[0] == sign \
+                    and self._atoms_equal(anc.literal[1], atom):
                 return
         # reduction against the complement of an ancestor
         for anc in path:
-            if anc.literal[0] != sign:
+            if anc.pred_key is key and anc.literal[0] != sign:
                 mark = len(self.trail)
                 if _unify_atoms(anc.literal[1], atom, self.env, self.trail):
                     node.closed_by = anc
@@ -234,14 +279,15 @@ class _Search:
         if depth <= 0:
             return
         # extension with an input clause whose literal can connect
-        for idx, i in self.index.get((not sign, pred_key(atom)), ()):
-            cl, side = self.clauses[idx]
+        terms = atom_terms(atom)
+        for idx, i, pats in self.index.get((not sign, key), ()):
             self._tick()
+            if _clash(pats, terms, self.env):
+                continue
             mark = len(self.trail)
-            lits = _rename_clause(cl, self.counter)
-            if _unify_atoms(lits[i][1], atom, self.env, self.trail):
-                children = [TableauNode(l, side, clause_index=idx)
-                            for l in lits]
+            children = self.instance(idx)
+            if _unify_atoms(children[i].literal[1], atom, self.env,
+                            self.trail):
                 children[i].closed_by = node
                 node.children = children
                 rest = [c for j, c in enumerate(children) if j != i]
@@ -258,11 +304,7 @@ class _Search:
             yield from self.solve_all(rest, path, depth)
 
     def _atoms_equal(self, a, b):
-        if isinstance(a, Eq) != isinstance(b, Eq):
-            return False
-        if isinstance(a, Atom) and (a.pred != b.pred
-                                    or len(a.args) != len(b.args)):
-            return False
+        """Whether atoms with the same pred_key are equal under env."""
         return all(self._teq(x, y)
                    for x, y in zip(atom_terms(a), atom_terms(b)))
 
@@ -307,11 +349,8 @@ def prove_clausal(clauses, config: ProverConfig | None = None
     try:
         for depth in range(1, config.max_depth + 1):
             for idx in order:
-                cl, side = clauses[idx]
-                lits = _rename_clause(cl, search.counter)
                 root = TableauNode(None, None, clause_index=idx)
-                root.children = [TableauNode(l, side, clause_index=idx)
-                                 for l in lits]
+                root.children = search.instance(idx)
                 try:
                     next(search.solve_all(root.children, [], depth))
                 except StopIteration:
