@@ -182,8 +182,9 @@ def interpolate(task: InterpolationTask,
     result = prove_clausal(side_clauses(left_cf.clauses, right_cf.clauses),
                            time_left(config, deadline))
     if not result.proved:
-        m = find_countermodel(Implies(left, right), max_size=3,
-                              timeout_ms=min(config.timeout_ms, 2000))
+        m = find_countermodel(
+            Implies(left, right), max_size=3,
+            timeout_ms=min(time_left(config, deadline).timeout_ms, 2000))
         if m is not None:
             return Interpolant(FALSE, model=m, status="not_valid")
         return Interpolant(FALSE, proof=result, status="failed")

@@ -454,6 +454,11 @@ def _definitional(g, univ, cf, ctx):
         if isinstance(g, Not):
             return [[(False, g.arg)]]
         return [[(True, g)]]
+    # nnf and miniscope leave true and false only as the whole formula
+    if isinstance(g, Truth):
+        return []
+    if isinstance(g, Falsity):
+        return [[]]
     raise PreprocessError(f"unexpected node in definitional CNF: {g!r}")
 
 

@@ -681,15 +681,16 @@ class ValidationResult:
 def validate(f: Formula, config: ProverConfig | None = None,
              model_size: int = 3) -> ValidationResult:
     """Three-valued validity check: quick countermodel search, then
-    proof search."""
+    proof search, all within config.timeout_ms."""
     if config is None:
         config = ProverConfig()
+    deadline = time.monotonic() + config.timeout_ms / 1000.0
     m = find_countermodel(f, max_size=model_size,
                           timeout_ms=min(max(config.timeout_ms // 2, 100),
                                          1000))
     if m is not None:
         return ValidationResult("invalid", model=m)
-    r = prove(f, config)
+    r = prove(f, time_left(config, deadline))
     if r.proved:
         return ValidationResult("valid", proof=r)
     return ValidationResult("unknown", proof=r)

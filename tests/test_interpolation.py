@@ -185,3 +185,16 @@ def test_interpolation_keeps_its_budget(simp_sides):
     assert time.monotonic() - t0 < 1.2 * 0.1 + 0.05
     assert out.status == "failed"
     assert out.proof.reason == "clausification timeout"
+
+
+@pytest.mark.parametrize("simp_sides", [True, False])
+def test_countermodel_search_keeps_the_budget(simp_sides):
+    # the proof search times out; the countermodel search after it took
+    # another 0.5 s of its own
+    d = " ; ".join(f"(a{i}, b{i})" for i in range(10))
+    f = parse_formula(f"({d}) -> ({d})")
+    t0 = time.monotonic()
+    out = interpolate(InterpolationTask(f.lhs, f.rhs, simp_sides=simp_sides),
+                      ProverConfig(timeout_ms=500))
+    assert time.monotonic() - t0 < 1.2 * 0.5 + 0.05
+    assert out.status == "failed"

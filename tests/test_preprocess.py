@@ -72,6 +72,14 @@ def test_definitional_clausify_equisatisfiable():
         assert got == want
 
 
+@pytest.mark.parametrize("src", ["p ; true", "(p, false) ; q", "false",
+                                 "true"])
+def test_clause_forms_agree_on_truth_constants(src):
+    f = parse_formula(src)
+    assert clausify(f, "definitional").clauses == \
+        clausify(f, "equivalence").clauses
+
+
 # ---------------------------------------------------------------------------
 # Clausal simplification
 

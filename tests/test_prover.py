@@ -189,6 +189,15 @@ def test_prove_keeps_its_budget(n):
     assert r.proved or r.reason in ("timeout", "clausification timeout")
 
 
+def test_validate_keeps_its_budget():
+    # the model search uses its share of the budget; the proof search
+    # after it took the whole timeout_ms again
+    t0 = time.monotonic()
+    out = validate(dnf_family(10), ProverConfig(timeout_ms=500))
+    assert time.monotonic() - t0 < 1.2 * 0.5 + 0.05
+    assert out.status == "unknown"
+
+
 @pytest.mark.parametrize("attempt", [
     lambda f, config: prove(f, config),
     lambda f, config: prove_implication(f.lhs, f.rhs, config),
@@ -264,6 +273,47 @@ def test_unconnectable_clauses_cost_nothing(src):
     assert padded.depth == base.depth
     assert padded.inferences == base.inferences
     assert _preorder(padded) == _preorder(base)
+
+
+# ---------------------------------------------------------------------------
+# Property: the search starts only from all-negative clauses, which must
+# not lose a refutation
+
+ATOMS4 = ["p", "q", "r", "s"]
+_clause_sets = st.lists(
+    st.lists(st.tuples(st.booleans(), st.sampled_from(ATOMS4)),
+             min_size=1, max_size=3),
+    min_size=1, max_size=9)
+
+
+def _unsatisfiable(lit_lists):
+    """Truth table: no assignment to ATOMS4 makes every clause true."""
+    return not any(
+        all(any(env[a] == s for s, a in lits) for lits in lit_lists)
+        for env in (dict(zip(ATOMS4, bits)) for bits in
+                    itertools.product([False, True], repeat=len(ATOMS4))))
+
+
+@given(_clause_sets)
+@settings(deadline=None, max_examples=300)
+def test_prove_clausal_refutes_exactly_the_unsatisfiable_sets(lit_lists):
+    clauses = [(Clause(tuple((s, Atom(a, ())) for s, a in lits)), "left")
+               for lits in lit_lists]
+    r = prove_clausal(clauses, FAST)
+    assert r.proved == _unsatisfiable(lit_lists), r.reason
+    if r.proved:
+        assert check_tableau(r.tableau, r.clauses)
+
+
+def test_no_all_negative_clause_costs_nothing():
+    # making every atom true satisfies such a set: no start clause
+    x = Var("x")
+    clauses = [(Clause(((True, Atom("p", (x,))),)), "left"),
+               (Clause(((False, Atom("p", (x,))), (True, Atom("q", (x,))))),
+                "right")]
+    r = prove_clausal(clauses, FAST)
+    assert not r.proved
+    assert r.inferences == 0
 
 
 # ---------------------------------------------------------------------------
