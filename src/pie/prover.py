@@ -215,23 +215,17 @@ class _Search:
         self.counter = [0]
         self.inferences = 0
         self.deadline = time.monotonic() + config.timeout_ms / 1000.0
-        self.ground = {}    # clause index -> has no variables, once used
-        # each clause's literals' predicate keys, equal keys one object
-        # so that the ancestor scans can compare them with `is`, and
+        # clause index -> (no variables?, the literals' predicate keys),
+        # made when the clause is first used: most clauses of a large
+        # input never are
+        self.shapes = {}
         # (sign, predicate key) -> [(clause index, literal index, terms)],
         # in clause order: the only input literals a goal can connect to
-        self.keys = []
         self.index = {}
-        shared = {}
         for idx, (cl, _side) in enumerate(clauses):
-            keys = []
             for i, (s, a) in enumerate(cl.literals):
-                k = pred_key(a)
-                k = shared.setdefault(k, k)
-                keys.append(k)
-                self.index.setdefault((s, k), []).append(
+                self.index.setdefault((s, pred_key(a)), []).append(
                     (idx, i, atom_terms(a)))
-            self.keys.append(keys)
 
     def _tick(self):
         self.inferences += 1
@@ -249,12 +243,14 @@ class _Search:
         """Tableau nodes for the literals of a fresh instance of input
         clause idx; a clause without variables is its own instance."""
         cl, side = self.clauses[idx]
-        ground = self.ground.get(idx)
-        if ground is None:
-            ground = self.ground[idx] = not clause_vars(cl)
+        shape = self.shapes.get(idx)
+        if shape is None:
+            shape = self.shapes[idx] = (
+                not clause_vars(cl), [pred_key(a) for _, a in cl.literals])
+        ground, keys = shape
         lits = cl.literals if ground else _rename_clause(cl, self.counter)
         return [TableauNode(l, side, clause_index=idx, pred_key=k)
-                for l, k in zip(lits, self.keys[idx])]
+                for l, k in zip(lits, keys)]
 
     def solve(self, node, path, depth):
         """Yield once for every way to close the subtree at node."""
@@ -263,12 +259,12 @@ class _Search:
         key = node.pred_key
         # regularity: an open goal equal to an ancestor literal is pruned
         for anc in path:
-            if anc.pred_key is key and anc.literal[0] == sign \
+            if anc.pred_key == key and anc.literal[0] == sign \
                     and self._atoms_equal(anc.literal[1], atom):
                 return
         # reduction against the complement of an ancestor
         for anc in path:
-            if anc.pred_key is key and anc.literal[0] != sign:
+            if anc.pred_key == key and anc.literal[0] != sign:
                 mark = len(self.trail)
                 if _unify_atoms(anc.literal[1], atom, self.env, self.trail):
                     node.closed_by = anc
