@@ -189,8 +189,8 @@ def test_interpolation_keeps_its_budget(simp_sides):
 
 @pytest.mark.parametrize("simp_sides", [True, False])
 def test_countermodel_search_keeps_the_budget(simp_sides):
-    # the proof search times out; the countermodel search after it took
-    # another 0.5 s of its own
+    # the proof search runs to the deadline, so the countermodel search
+    # after it may have no time of its own
     d = " ; ".join(f"(a{i}, b{i})" for i in range(10))
     f = parse_formula(f"({d}) -> ({d})")
     t0 = time.monotonic()

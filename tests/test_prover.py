@@ -190,8 +190,8 @@ def test_prove_keeps_its_budget(n):
 
 
 def test_validate_keeps_its_budget():
-    # the model search uses its share of the budget; the proof search
-    # after it took the whole timeout_ms again
+    # the model search uses up its share of the budget, so the proof
+    # search may have only what is left
     t0 = time.monotonic()
     out = validate(dnf_family(10), ProverConfig(timeout_ms=500))
     assert time.monotonic() - t0 < 1.2 * 0.5 + 0.05
