@@ -21,9 +21,8 @@ from .macros import (
     expand,
 )
 from .preprocess import (
-    Clause, ClausalForm, PreprocessError, ProtectedVocabulary,
-    UnskolemizeError, clausify, pipeline_c6, pipeline_d6, simplify_clausal,
-    unskolemize,
+    Clause, ClausalForm, PreprocessError, UnskolemizeError, clausify,
+    pipeline_c6, pipeline_d6, simplify_clausal, unskolemize,
 )
 from .prover import (
     Model, ProofResult, ProverConfig, TableauNode, ValidationResult,

@@ -6,10 +6,11 @@ Exit status: 0 success, 1 reasoning failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from .document import DocumentError, load_document, process_document
+from .document import (
+    DocumentError, default_timeout_ms, load_document, process_document,
+)
 from .elimination import EliminationTask, eliminate
 from .formula import Context, Implies
 from .interpolation import InterpolationTask, interpolate
@@ -21,12 +22,7 @@ from .syntax import EmitError, ParseError, emit_dimacs, emit_tptp, \
 
 
 def _timeout_ms(args) -> int:
-    if getattr(args, "timeout", None):
-        return args.timeout
-    env = os.environ.get("PIE_TIMEOUT_MS")
-    if env and env.isdigit():
-        return int(env)
-    return 5000
+    return getattr(args, "timeout", None) or default_timeout_ms()
 
 
 def _load_table(args) -> MacroTable:

@@ -325,12 +325,17 @@ SYSTEM_DEFAULTS = {
 }
 
 
-def system_defaults():
-    opts = dict(SYSTEM_DEFAULTS)
+def default_timeout_ms() -> int:
+    """The reasoner timeout: PIE_TIMEOUT_MS if it is a number of
+    milliseconds, else SYSTEM_DEFAULTS["timeout_ms"]."""
     env = os.environ.get("PIE_TIMEOUT_MS")
     if env and env.isdigit():
-        opts["timeout_ms"] = int(env)
-    return opts
+        return int(env)
+    return SYSTEM_DEFAULTS["timeout_ms"]
+
+
+def system_defaults():
+    return {**SYSTEM_DEFAULTS, "timeout_ms": default_timeout_ms()}
 
 
 @dataclass
@@ -338,7 +343,6 @@ class ProcessingContext:
     table: MacroTable
     ctx: Context = field(default_factory=Context)
     defaults: dict = field(default_factory=system_defaults)
-    results: dict = field(default_factory=dict)   # r=Name bindings
 
 
 @dataclass
@@ -357,10 +361,7 @@ def _display(f: Formula) -> str:
 
 
 def _inline(f: Formula) -> str:
-    body = print_latex(f, _LATEX_OPTS)
-    if body.startswith("\\begin{array}"):
-        return "$" + body + "$"
-    return "$" + body + "$"
+    return "$" + print_latex(f, _LATEX_OPTS) + "$"
 
 
 def run_directive(d: Directive, pctx: ProcessingContext) -> DirectiveResult:
@@ -391,11 +392,9 @@ def run_directive(d: Directive, pctx: ProcessingContext) -> DirectiveResult:
         if out.status != "success":
             return DirectiveResult(
                 "failed", _failure_text(d, f"elimination failed "
-                                        f"({out.status})", printing, f),
+                                        f"({out.status})", printing),
                 detail=out.reason)
         pctx.ctx.last_result = out.result
-        if "r" in opts:
-            pctx.results[opts["r"]] = out.result
         text = ""
         if printing:
             text = ("\\noindent Input: " + _inline(d.formula) + ".\\\\\n"
@@ -406,7 +405,7 @@ def run_directive(d: Directive, pctx: ProcessingContext) -> DirectiveResult:
         if not isinstance(f, Implies):
             return DirectiveResult(
                 "failed", _failure_text(d, "interpolation needs an "
-                                        "implication", printing, f),
+                                        "implication", printing),
                 detail="not an implication")
         task = InterpolationTask(f.lhs, f.rhs,
                                  simp_sides=bool(opts["ip_simp_sides"]),
@@ -415,11 +414,9 @@ def run_directive(d: Directive, pctx: ProcessingContext) -> DirectiveResult:
         if out.status != "interpolant":
             return DirectiveResult(
                 "failed", _failure_text(d, f"interpolation failed "
-                                        f"({out.status})", printing, f),
+                                        f"({out.status})", printing),
                 detail=out.status)
         pctx.ctx.last_result = out.formula
-        if "r" in opts:
-            pctx.results[opts["r"]] = out.formula
         text = ""
         if printing:
             text = ("\\noindent Input: " + _inline(d.formula) + ".\\\\\n"
@@ -440,8 +437,7 @@ def run_directive(d: Directive, pctx: ProcessingContext) -> DirectiveResult:
     raise DocumentError(f"unknown directive kind {d.kind!r}")
 
 
-def _failure_text(d: Directive, msg: str, printing: bool,
-                  f: Formula | None = None) -> str:
+def _failure_text(d: Directive, msg: str, printing: bool) -> str:
     if not printing:
         return ""
     shown = _inline(d.formula)

@@ -20,8 +20,9 @@ from .formula import (
     predicate_arities, subst_in_term, subst_vars, substitute_predicate,
 )
 from .preprocess import (
-    Clause, DeadlineExceeded, PIPELINES, clause_subst, clause_to_formula,
-    clause_vars, clausify_simplified, unskolemize, UnskolemizeError,
+    Clause, DeadlineExceeded, PIPELINES, check_deadline, clause_subst,
+    clause_to_formula, clause_vars, clausify_simplified, unskolemize,
+    UnskolemizeError,
 )
 
 
@@ -30,10 +31,6 @@ class EliminationError(Exception):
 
 
 class _Nonreducible(EliminationError):
-    pass
-
-
-class _Resources(EliminationError):
     pass
 
 
@@ -218,8 +215,7 @@ def _split_cases(clauses, p, def_sign, branch_bound, deadline):
         cases = new
         if len(cases) > branch_bound:
             raise _Nonreducible("case-split branch bound exceeded")
-        if time.monotonic() > deadline:
-            raise _Resources("elimination timeout")
+        check_deadline(deadline, "elimination")
     return cases
 
 
@@ -294,8 +290,7 @@ def _eliminate_pred(p, body, ctx, task, deadline, reserved):
     """∃p body with first-order body; returns an equivalent first-order
     formula or raises.  reserved says that ctx holds every name of
     body."""
-    if time.monotonic() > deadline:
-        raise _Resources("elimination timeout")
+    check_deadline(deadline, "elimination")
     arities = predicate_arities(body).get(p, set())
     if not arities:
         return body
@@ -320,8 +315,6 @@ def _eliminate_pred(p, body, ctx, task, deadline, reserved):
                        for case in cases]
             out = truth_simplify(disj(results))
             return _restore_quantifiers(out, skolems, ctx, deadline)
-        except _Resources:
-            raise
         except EliminationError as e:
             last = e
     raise _Nonreducible(str(last))
@@ -345,14 +338,15 @@ def _restore_quantifiers(f, skolems, ctx, deadline):
 # Driver
 
 def eliminate(task: EliminationTask) -> EliminationOutcome:
-    """Eliminate all predicate quantifiers from task.formula."""
+    """Eliminate all predicate quantifiers from task.formula within
+    task.timeout_ms; past it the outcome is 'resources'."""
     deadline = time.monotonic() + task.timeout_ms / 1000.0
     f = task.formula
     ctx = Context()
     ctx.reserve_formula(f)
     try:
         out = _elim(f, ctx, task, deadline)
-    except (_Resources, DeadlineExceeded) as e:
+    except DeadlineExceeded as e:
         return EliminationOutcome("resources", residue=f, reason=str(e))
     except EliminationError as e:
         return EliminationOutcome("nonreducible", residue=f, reason=str(e))

@@ -7,21 +7,17 @@ side are generalized to quantified variables.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .formula import (
     Atom, Context, Eq, Exists, FALSE, Fn, ForAll, Formula, Implies, Not, TRUE,
     Var, atom_terms, conj, disj, free_symbols, is_first_order, map_atom,
     map_children, neg, subformulas, subterms,
 )
-from .preprocess import (
-    DeadlineExceeded, clause_terms, clausify, clausify_simplified,
-)
+from .preprocess import clause_terms
 from .prover import (
-    Model, ProofResult, ProverConfig, TableauNode, check_tableau,
-    find_countermodel, out_of_time, prove_clausal, reduce_so_universal,
-    side_clauses, time_left,
+    Model, ProofResult, ProverConfig, TableauNode, _refute, check_tableau,
+    find_countermodel, model_share, reduce_so_universal,
 )
 
 
@@ -154,39 +150,30 @@ def _clause_functions(clauses):
 
 def interpolate(task: InterpolationTask,
                 config: ProverConfig | None = None) -> Interpolant:
-    """Compute a Craig-Lyndon interpolant for task.left -> task.right."""
+    """Compute a Craig-Lyndon interpolant for task.left -> task.right
+    within config.timeout_ms.
+
+    Second-order quantifiers are first reduced by reduce_so_universal.
+    The proof gets all of the budget but model_share of it; when the
+    proof fails, a countermodel search gets that share."""
     if config is None:
         config = ProverConfig()
-    t0 = time.monotonic()
-    deadline = t0 + config.timeout_ms / 1000.0
     left, right = task.left, task.right
     if not (is_first_order(left) and is_first_order(right)):
         # validity-preserving second-order reduction of the implication
         red = reduce_so_universal(Implies(left, right))
-        if not isinstance(red, Implies):
-            raise InterpolationError(
-                "interpolation requires first-order input")
         left, right = red.lhs, red.rhs
-    ctx = Context()
-    ctx.reserve_formula(left)
-    ctx.reserve_formula(right)
-    try:
-        if task.simp_sides:
-            left_cf = clausify_simplified(left, ctx, deadline)
-            right_cf = clausify_simplified(neg(right), ctx, deadline)
-        else:
-            left_cf = clausify(left, "equivalence", ctx, deadline)
-            right_cf = clausify(neg(right), "equivalence", ctx, deadline)
-    except DeadlineExceeded as e:
-        return Interpolant(FALSE, proof=out_of_time(e, t0), status="failed")
-    result = prove_clausal(side_clauses(left_cf.clauses, right_cf.clauses),
-                           time_left(config, deadline))
+    share = model_share(config.timeout_ms)
+    result, left_cs, right_cs = _refute(
+        [left], [neg(right)],
+        replace(config, timeout_ms=config.timeout_ms - share),
+        task.simp_sides)
     if not result.proved:
-        m = find_countermodel(
-            Implies(left, right), max_size=3,
-            timeout_ms=min(time_left(config, deadline).timeout_ms, 2000))
-        if m is not None:
-            return Interpolant(FALSE, model=m, status="not_valid")
+        if left_cs is not None:     # not a clausification timeout
+            m = find_countermodel(Implies(left, right), max_size=3,
+                                  timeout_ms=share)
+            if m is not None:
+                return Interpolant(FALSE, model=m, status="not_valid")
         return Interpolant(FALSE, proof=result, status="failed")
     if not check_tableau(result.tableau, result.clauses):
         raise InterpolationError("prover returned an unsound tableau")
@@ -196,8 +183,8 @@ def interpolate(task: InterpolationTask,
         h = FALSE if side == "left" else TRUE
     else:
         h = extract_from_tableau(result.tableau)
-    left_vocab = _vocab(left) | _clause_functions(left_cf.clauses)
-    right_vocab = _vocab(right) | _clause_functions(right_cf.clauses)
+    left_vocab = _vocab(left) | _clause_functions(left_cs)
+    right_vocab = _vocab(right) | _clause_functions(right_cs)
     h = generalize_constants(h, left_vocab, right_vocab)
     if task.dot_path:
         with open(task.dot_path, "w") as fh:

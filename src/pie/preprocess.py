@@ -9,6 +9,7 @@ clausal form, simplify, and convert back; both preserve equivalence.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -32,8 +33,10 @@ class DeadlineExceeded(PreprocessError):
     pass
 
 
-def _check_deadline(deadline, layer):
-    if deadline is not None and time.monotonic() > deadline:
+def check_deadline(deadline, layer):
+    """Raise DeadlineExceeded, naming layer, past the time.monotonic()
+    deadline."""
+    if time.monotonic() > deadline:
         raise DeadlineExceeded(f"{layer} timeout")
 
 
@@ -56,7 +59,6 @@ class ClausalForm:
     clauses: list
     skolems: dict = field(default_factory=dict)
     # skolems: name -> (arity, dependency variable names at introduction)
-    definition_preds: set = field(default_factory=set)
 
 
 def clause_terms(c: Clause):
@@ -122,34 +124,31 @@ def _push_one(q, v, body):
 # ---------------------------------------------------------------------------
 # Clausification
 
-def clausify(f: Formula, mode: str = "equivalence",
-             ctx: Context | None = None, deadline=None) -> ClausalForm:
-    """Convert a first-order, macro-free formula to clausal form.
+def clausify(f: Formula, ctx: Context | None = None,
+             deadline=math.inf) -> ClausalForm:
+    """Convert a first-order, macro-free formula to clausal form: the
+    CNF of its Skolemized matrix.
 
-    equivalence mode Skolemizes existentials (recorded, invertible by
-    unskolemize); definitional mode introduces definition predicates for
-    shared disjunctive structure and is equisatisfiable.  Fresh names
-    avoid every name of f only when ctx is None; a caller that passes a
-    ctx reserves the names of f in it first.  Tautologies, repeated
-    literals and clauses that repeat an earlier one up to variable names
-    are left out.  Past the time.monotonic() deadline, if one is given,
-    it raises DeadlineExceeded."""
-    return _clausify(f, mode, ctx, deadline, subsume=False)
+    The Skolem symbols are recorded so that unskolemize can invert the
+    Skolemization.  Fresh names avoid every name of f only when ctx is
+    None; a caller that passes a ctx reserves the names of f in it
+    first.  Tautologies, repeated literals and clauses that repeat an
+    earlier one up to variable names are left out.  Past the
+    time.monotonic() deadline it raises DeadlineExceeded."""
+    return _clausify(f, ctx, deadline, subsume=False)
 
 
 def clausify_simplified(f: Formula, ctx: Context | None = None,
-                        deadline=None) -> ClausalForm:
-    """simplify_clausal(clausify(f, "equivalence", ctx, deadline),
-    PROTECT_ALL, deadline), the same clauses in the same order, but made
-    without the product clauses that an earlier clause subsumes: _cnf
-    drops them while it multiplies out, so they are never built,
-    deduplicated or compared."""
-    return simplify_clausal(
-        _clausify(f, "equivalence", ctx, deadline, subsume=True),
-        PROTECT_ALL, deadline)
+                        deadline=math.inf) -> ClausalForm:
+    """simplify_clausal(clausify(f, ctx, deadline), deadline), the same
+    clauses in the same order, but made without the product clauses that
+    an earlier clause subsumes: _cnf drops them while it multiplies out,
+    so they are never built, deduplicated or compared."""
+    return simplify_clausal(_clausify(f, ctx, deadline, subsume=True),
+                            deadline)
 
 
-def _clausify(f, mode, ctx, deadline, subsume):
+def _clausify(f, ctx, deadline, subsume):
     if not is_first_order(f):
         raise PreprocessError("clausify requires a first-order formula")
     if ctx is None:
@@ -158,27 +157,21 @@ def _clausify(f, mode, ctx, deadline, subsume):
     fv = sorted(free_vars(f))
     g = forall(fv, f)
     g = miniscope(nnf(rename_bound(g)))
-    cf = ClausalForm([], {}, set())
-    if mode == "equivalence":
-        matrix = _skolemize(g, [], cf, ctx)
-        cf.clauses = _distinct(map(Clause, _cnf(matrix, deadline, subsume)),
+    cf = ClausalForm([])
+    matrix = _skolemize(g, [], cf, ctx)
+    cf.clauses = _distinct(map(Clause, _cnf(matrix, deadline, subsume)),
+                           deadline)
+    if subsume and _units_clash(cf.clauses):
+        # simplify_clausal keeps shortened copies of clauses that a
+        # clashing unit subsumes, so they must not be left out
+        cf.clauses = _distinct(map(Clause, _cnf(matrix, deadline)),
                                deadline)
-        if subsume and _units_clash(cf.clauses):
-            # simplify_clausal keeps shortened copies of clauses that a
-            # clashing unit subsumes, so they must not be left out
-            cf.clauses = _distinct(map(Clause, _cnf(matrix, deadline)),
-                                   deadline)
-    elif mode == "definitional":
-        cf.clauses = _distinct(
-            map(_mk_clause, _definitional(g, [], cf, ctx)), deadline)
-    else:
-        raise PreprocessError(f"unknown clausify mode {mode!r}")
     return cf
 
 
 def _distinct(clauses, deadline):
-    """The clauses, None left out, without those that repeat an earlier
-    one up to variable names; just the empty clause if there is one."""
+    """The clauses without those that repeat an earlier one up to
+    variable names; just the empty clause if there is one."""
     seen = set()
     out = []
     reprs = {}      # id(literal) -> (literal, repr), the literal kept alive
@@ -190,9 +183,7 @@ def _distinct(clauses, deadline):
         return r[1]
 
     for c in clauses:
-        _check_deadline(deadline, "clausification")
-        if c is None:
-            continue
+        check_deadline(deadline, "clausification")
         key = _clause_key(c, order)
         if key in seen:
             continue
@@ -254,7 +245,7 @@ def _skolem_body(g: Exists, univ, cf, ctx):
     return subst_vars(g.body, mapping)
 
 
-def _cnf(g, deadline=None, subsume=False):
+def _cnf(g, deadline=math.inf, subsume=False):
     """Distribute a quantifier-free NNF matrix into a list of literal
     tuples.
 
@@ -265,8 +256,7 @@ def _cnf(g, deadline=None, subsume=False):
     all of these, and every clause made from them, so its output is the
     same.  With subsume, a clause is also dropped when the literals of an
     earlier kept clause are a subset of its own (see _Products.keep).
-    Past the time.monotonic() deadline, if one is given, it raises
-    DeadlineExceeded."""
+    Past the time.monotonic() deadline it raises DeadlineExceeded."""
     run = _Products(deadline, subsume and _resolved_apart(g) is not None)
     lit = run.lits.__getitem__
     return [tuple(map(lit, ids)) for ids, _ in run.cnf(g, 0)]
@@ -367,8 +357,7 @@ class _Products:
                 rest -= w
                 part = self.cnf(a, slack + total - w)
                 if len(out) == 1 and len(part) == 1:
-                    if self.deadline is not None:
-                        _check_deadline(self.deadline, "clausification")
+                    check_deadline(self.deadline, "clausification")
                     c = self.join(out[0], part[0])
                     out = [c] if c else []
                 else:
@@ -407,8 +396,7 @@ class _Products:
         out, seen, index = [], set(), {}
         deadline, subsume = self.deadline, self.subsume
         for c in clauses:
-            if deadline is not None:
-                _check_deadline(deadline, "clausification")
+            check_deadline(deadline, "clausification")
             if c is None or c[1] in seen:
                 continue
             ids, m = c
@@ -422,60 +410,6 @@ class _Products:
                 index.setdefault((v, m.bit_length() - 1), []).append(m)
             out.append(c)
         return out
-
-
-def _is_literalish(g):
-    return isinstance(g, (Atom, Eq)) or (
-        isinstance(g, Not) and isinstance(g.arg, (Atom, Eq)))
-
-
-def _definitional(g, univ, cf, ctx):
-    """Structure-preserving clausification of an NNF formula."""
-    if isinstance(g, ForAll):
-        return _definitional(g.body, univ + list(g.vars), cf, ctx)
-    if isinstance(g, Exists):
-        return _definitional(_skolem_body(g, univ, cf, ctx), univ, cf, ctx)
-    if isinstance(g, And):
-        out = []
-        for a in g.args:
-            out.extend(_definitional(a, univ, cf, ctx))
-        return out
-    if isinstance(g, Or):
-        lits = []
-        for a in g.args:
-            lits.append(_define(a, univ, cf, ctx))
-        extra = []
-        clause = []
-        for lit, defs in lits:
-            clause.append(lit)
-            extra.extend(defs)
-        return [clause] + extra
-    if _is_literalish(g):
-        if isinstance(g, Not):
-            return [[(False, g.arg)]]
-        return [[(True, g)]]
-    # nnf and miniscope leave true and false only as the whole formula
-    if isinstance(g, Truth):
-        return []
-    if isinstance(g, Falsity):
-        return [[]]
-    raise PreprocessError(f"unexpected node in definitional CNF: {g!r}")
-
-
-def _define(g, univ, cf, ctx):
-    """Return (literal, definition clauses) for a disjunct."""
-    if _is_literalish(g):
-        if isinstance(g, Not):
-            return (False, g.arg), []
-        return (True, g), []
-    vs = sorted(free_vars(g) & set(univ))
-    name = ctx.fresh_pred("def1")
-    cf.definition_preds.add(name)
-    d = Atom(name, tuple(Var(v) for v in vs))
-    # d -> g   (g occurs positively, one-sided definition suffices)
-    sub = _definitional(g, univ, cf, ctx)
-    clauses = [[(False, d)] + c for c in sub]
-    return (True, d), clauses
 
 
 def _mk_clause(lits):
@@ -589,36 +523,11 @@ def subsumes(c: Clause, d: Clause) -> bool:
 # ---------------------------------------------------------------------------
 # Clausal simplification
 
-@dataclass(frozen=True)
-class ProtectedVocabulary:
-    predicates: frozenset = frozenset()  # of (name, arity) or name
-
-    def covers(self, pred, arity):
-        return pred in self.predicates or (pred, arity) in self.predicates
-
-
-PROTECT_ALL = ProtectedVocabulary(frozenset({"*"}))
-
-
-def _protected(protect, pred, arity):
-    if protect is None:
-        return False
-    if "*" in protect.predicates:
-        return True
-    return protect.covers(pred, arity)
-
-
-def simplify_clausal(cf: ClausalForm,
-                     protect: ProtectedVocabulary = PROTECT_ALL,
-                     deadline=None) -> ClausalForm:
+def simplify_clausal(cf: ClausalForm, deadline=math.inf) -> ClausalForm:
     """Fixpoint of tautology/duplicate/subsumption deletion, equality
-    resolution, unit subsumption resolution, and purity deletion for
-    predicates outside the protected vocabulary.
-
-    With protect = PROTECT_ALL every step preserves plain equivalence;
-    otherwise the second-order equivalence over non-protected predicates
-    is preserved.  Past the time.monotonic() deadline, if one is given,
-    it raises DeadlineExceeded."""
+    resolution and unit subsumption resolution; every step preserves
+    equivalence.  Past the time.monotonic() deadline it raises
+    DeadlineExceeded."""
     clauses = list(cf.clauses)
     changed = True
     while changed:
@@ -626,7 +535,7 @@ def simplify_clausal(cf: ClausalForm,
         # per-clause normalization incl. equality resolution
         out = []
         for c in clauses:
-            _check_deadline(deadline, "clausal simplification")
+            check_deadline(deadline, "clausal simplification")
             c2 = _simplify_clause(c)
             if c2 is None:
                 changed = True
@@ -642,7 +551,7 @@ def simplify_clausal(cf: ClausalForm,
         units = [c.literals[0] for c in clauses if len(c) == 1]
         out = []
         for c in clauses:
-            _check_deadline(deadline, "clausal simplification")
+            check_deadline(deadline, "clausal simplification")
             lits = list(c.literals)
             kept = []
             for lit in lits:
@@ -659,27 +568,7 @@ def simplify_clausal(cf: ClausalForm,
         if len(kept) != len(clauses):
             changed = True
         clauses = kept
-        # purity deletion
-        pols = {}
-        for c in clauses:
-            for s, a in c.literals:
-                if isinstance(a, Eq):
-                    continue
-                key = (a.pred, len(a.args))
-                pols.setdefault(key, set()).add(s)
-        pure = {k for k, v in pols.items()
-                if len(v) == 1 and not _protected(protect, k[0], k[1])}
-        if pure:
-            kept = []
-            for c in clauses:
-                if any(not isinstance(a, Eq)
-                       and (a.pred, len(a.args)) in pure
-                       for _, a in c.literals):
-                    changed = True
-                else:
-                    kept.append(c)
-            clauses = kept
-    return ClausalForm(clauses, dict(cf.skolems), set(cf.definition_preds))
+    return ClausalForm(clauses, dict(cf.skolems))
 
 
 def _features(c: Clause) -> frozenset:
@@ -695,7 +584,7 @@ def _features(c: Clause) -> frozenset:
     return frozenset(fs)
 
 
-def _drop_subsumed(clauses, deadline=None):
+def _drop_subsumed(clauses, deadline=math.inf):
     """The clauses that no other clause subsumes, in order; of clauses
     that subsume each other only the first can be kept.
 
@@ -710,7 +599,7 @@ def _drop_subsumed(clauses, deadline=None):
         cands = sorted((j for k, g in groups.items() if k <= fs for j in g),
                        key=size.__getitem__)
         for i in group:
-            _check_deadline(deadline, "clausal simplification")
+            check_deadline(deadline, "clausal simplification")
             c = clauses[i]
             dropped[i] = any(
                 j != i and subsumes(clauses[j], c)

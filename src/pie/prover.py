@@ -31,8 +31,8 @@ from .formula import (
     predicate_arities, substitute_predicate,
 )
 from .preprocess import (
-    Clause, DeadlineExceeded, clause_terms, clause_vars, clausify, match_lit,
-    pred_key,
+    Clause, DeadlineExceeded, clause_terms, clause_vars, clausify,
+    clausify_simplified, match_lit, pred_key,
 )
 
 
@@ -486,37 +486,39 @@ def side_clauses(left, right) -> list:
     return clauses
 
 
-def time_left(config: ProverConfig, deadline) -> ProverConfig:
-    """config with the time left until the time.monotonic() deadline as
-    its timeout."""
+def _refute(left, right, config: ProverConfig, simplified=False):
+    """Refute the left and right formulas together, all within
+    config.timeout_ms: clausify each of them (with clausify_simplified if
+    simplified) under one Context, then search the side-labeled clauses
+    with the time left.  Returns the ProofResult and the clause lists of
+    the two sides, or the failed result and None, None when
+    clausification runs out of time."""
+    t0 = time.monotonic()
+    deadline = t0 + config.timeout_ms / 1000.0
+    ctx = Context()
+    for f in left + right:
+        ctx.reserve_formula(f)
+    form = clausify_simplified if simplified else clausify
+    try:
+        sides = [[c for f in fs for c in form(f, ctx, deadline).clauses]
+                 for fs in (left, right)]
+    except DeadlineExceeded as e:
+        return ProofResult(False, elapsed_ms=(time.monotonic() - t0) * 1000,
+                           reason=str(e)), None, None
     ms = max(0, int((deadline - time.monotonic()) * 1000))
-    return replace(config, timeout_ms=ms)
-
-
-def out_of_time(e: DeadlineExceeded, t0) -> ProofResult:
-    """The failed result of a proof attempt, begun at time.monotonic()
-    t0, whose clausification ran out of time."""
-    return ProofResult(False, elapsed_ms=(time.monotonic() - t0) * 1000,
-                       reason=str(e))
+    return (prove_clausal(side_clauses(*sides),
+                          replace(config, timeout_ms=ms)), *sides)
 
 
 def prove(f: Formula, config: ProverConfig | None = None) -> ProofResult:
     """Attempt to prove that f is valid by refuting its negation, all
-    within config.timeout_ms."""
+    within config.timeout_ms.  Second-order quantifiers are first reduced
+    by reduce_so_universal; the clauses are labeled 'left'."""
     if config is None:
         config = ProverConfig()
-    t0 = time.monotonic()
-    deadline = t0 + config.timeout_ms / 1000.0
-    ctx = Context()
-    ctx.reserve_formula(f)
     if not is_first_order(f):
-        f = reduce_so_universal(f, ctx)
-    try:
-        cf = clausify(neg(f), "equivalence", ctx, deadline)
-    except DeadlineExceeded as e:
-        return out_of_time(e, t0)
-    return prove_clausal(side_clauses(cf.clauses, []),
-                         time_left(config, deadline))
+        f = reduce_so_universal(f)
+    return _refute([neg(f)], [], config)[0]
 
 
 def prove_implication(left: Formula, right: Formula,
@@ -525,18 +527,13 @@ def prove_implication(left: Formula, right: Formula,
     within config.timeout_ms."""
     if config is None:
         config = ProverConfig()
-    t0 = time.monotonic()
-    deadline = t0 + config.timeout_ms / 1000.0
-    ctx = Context()
-    ctx.reserve_formula(left)
-    ctx.reserve_formula(right)
-    try:
-        left_cf = clausify(left, "equivalence", ctx, deadline)
-        right_cf = clausify(neg(right), "equivalence", ctx, deadline)
-    except DeadlineExceeded as e:
-        return out_of_time(e, t0)
-    return prove_clausal(side_clauses(left_cf.clauses, right_cf.clauses),
-                         time_left(config, deadline))
+    return _refute([left], [neg(right)], config)[0]
+
+
+def model_share(timeout_ms: int) -> int:
+    """The part of a timeout_ms budget that goes to the countermodel
+    search of validate and interpolate: half, at most 1 s."""
+    return min(timeout_ms // 2, 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -676,17 +673,15 @@ class ValidationResult:
 
 def validate(f: Formula, config: ProverConfig | None = None,
              model_size: int = 3) -> ValidationResult:
-    """Three-valued validity check: quick countermodel search, then
-    proof search, all within config.timeout_ms."""
+    """Three-valued validity check: quick countermodel search within
+    model_share of config.timeout_ms, then proof search within the rest."""
     if config is None:
         config = ProverConfig()
-    deadline = time.monotonic() + config.timeout_ms / 1000.0
-    m = find_countermodel(f, max_size=model_size,
-                          timeout_ms=min(max(config.timeout_ms // 2, 100),
-                                         1000))
+    share = model_share(config.timeout_ms)
+    m = find_countermodel(f, max_size=model_size, timeout_ms=share)
     if m is not None:
         return ValidationResult("invalid", model=m)
-    r = prove(f, time_left(config, deadline))
+    r = prove(f, replace(config, timeout_ms=config.timeout_ms - share))
     if r.proved:
         return ValidationResult("valid", proof=r)
     return ValidationResult("unknown", proof=r)

@@ -108,8 +108,7 @@ class Parser:
     # -- formula grammar
 
     def parse_formula(self, env=frozenset()) -> Formula:
-        f = self.parse_iff(env)
-        return f
+        return self.parse_iff(env)
 
     def parse_iff(self, env):
         lhs = self.parse_impl(env)
@@ -344,18 +343,10 @@ def _coerce_terms(args):
         if isinstance(a, Term):
             out.append(a)
         elif isinstance(a, Atom):
-            t = _atom_to_term(a)
-            if t is None:
-                return None
-            out.append(t)
+            out.append(_formula_to_term(a))
         else:
             return None
     return tuple(out)
-
-
-def _atom_to_term(a):
-    # arguments of atoms are already terms by construction
-    return Fn(a.pred, a.args)
 
 
 def parse_formula(src: str) -> Formula:
@@ -458,18 +449,11 @@ def _arg_txt(a):
 def print_text(f: Formula) -> str:
     """Text printing; quantifier bodies are parenthesized when compound,
     matching console output style."""
-    s = _txt(f, _P_IFF)
-    return s
+    return _txt(f, _P_IFF)
 
 
 # ---------------------------------------------------------------------------
 # LaTeX printing
-
-_LATEX_CONN = {
-    "and": r" \land ",
-    "or": r" \lor ",
-}
-
 
 def latex_symbol(name: str, italic=False) -> str:
     """Symbol conversion: trailing digits become subscripts, '_p' suffix
@@ -665,13 +649,7 @@ def _propositional_atoms(cf):
 
 def emit_dimacs(cf):
     """Returns (text, atom-to-integer map)."""
-    mapping = _propositional_atoms(cf)
-    lines = [f"p cnf {len(mapping)} {len(cf.clauses)}"]
-    for clause in cf.clauses:
-        nums = [(mapping[a.pred] if s else -mapping[a.pred])
-                for s, a in clause.literals]
-        lines.append(" ".join(str(x) for x in nums + [0]))
-    return "\n".join(lines) + "\n", mapping
+    return emit_qdimacs([], cf)
 
 
 def emit_qdimacs(prefix, cf):

@@ -113,13 +113,6 @@ def test_elim_directive_stores_last_result():
     assert "is valid" in r.text
 
 
-def test_result_binding_via_r_option():
-    src = (":- ppl_printtime(ppl_elim(ex2(p, (p, (p -> q(a)))), [r=h1])).\n")
-    r, pctx = run_one(src)
-    assert r.status == "ok"
-    assert "h1" in pctx.results
-
-
 def test_printing_false_suppresses_output():
     r, _ = run_one(
         ":- ppl_printtime(ppl_valid((p ; ~p), [printing=false])).\n")

@@ -10,10 +10,10 @@ from pie.formula import (
     map_children, neg, nnf,
 )
 from pie.preprocess import (
-    Clause, PROTECT_ALL, ProtectedVocabulary, SUBSUMPTION_SIZE_CAP,
-    UnskolemizeError, _clause_key, _cnf, _drop_subsumed, _features,
-    _mk_clause, clausify, clausify_simplified, clauses_to_formula, lit_subst,
-    pipeline_c6, pipeline_d6, simplify_clausal, subsumes, unskolemize,
+    Clause, SUBSUMPTION_SIZE_CAP, UnskolemizeError, _clause_key, _cnf,
+    _drop_subsumed, _features, _mk_clause, clausify, clausify_simplified,
+    clauses_to_formula, lit_subst, pipeline_c6, pipeline_d6,
+    simplify_clausal, subsumes, unskolemize,
 )
 from pie.syntax import parse_formula, print_text
 
@@ -55,36 +55,22 @@ def test_clausify_skolem_constant():
     assert arity == 0
 
 
-def test_definitional_clausify_equisatisfiable():
-    # big disjunction of conjunctions: definitional form introduces
-    # definition predicates but stays equivalent on the input vocabulary
-    f = parse_formula("(p, q) ; (r, s) ; (p, s)")
-    cf = clausify(f, "definitional")
-    assert cf.definition_preds
-    atoms = prop_atoms(f)
-    defs = sorted(cf.definition_preds)
-    for bits in itertools.product([False, True], repeat=len(atoms)):
-        env = dict(zip(atoms, bits))
-        want = eval_prop(f, env)
-        got = any(
-            eval_clauses(cf.clauses, {**env, **dict(zip(defs, dbits))})
-            for dbits in itertools.product([False, True], repeat=len(defs)))
-        assert got == want
-
-
-@pytest.mark.parametrize("src", ["p ; true", "(p, false) ; q", "false",
-                                 "true"])
-def test_clause_forms_agree_on_truth_constants(src):
-    f = parse_formula(src)
-    assert clausify(f, "definitional").clauses == \
-        clausify(f, "equivalence").clauses
+@pytest.mark.parametrize("src, want", [
+    ("p ; true", []),
+    ("(p, false) ; q", [Clause(((True, Atom("q")),))]),
+    ("false", [Clause(())]),
+    ("true", []),
+], ids=["p ; true", "(p, false) ; q", "false", "true"])
+def test_clause_forms_agree_on_truth_constants(src, want):
+    # true and false are absorbed; false alone is the empty clause
+    assert clausify(parse_formula(src)).clauses == want
 
 
 # ---------------------------------------------------------------------------
 # Clausal simplification
 
-def simp(src, protect=PROTECT_ALL):
-    return simplify_clausal(clausify(parse_formula(src)), protect)
+def simp(src):
+    return simplify_clausal(clausify(parse_formula(src)))
 
 
 def test_subsumption_removes_weaker_clause():
@@ -104,21 +90,12 @@ def test_equality_resolution_grounds_variables():
     assert print_text(clauses_to_formula(cf)) == "p(a)"
 
 
-def test_purity_deletion_respects_protection():
-    f = "all(x, (p(x) ; q(x)))"
-    nothing_protected = ProtectedVocabulary(frozenset())
-    cf = simplify_clausal(clausify(parse_formula(f)), nothing_protected)
-    assert cf.clauses == []          # p occurs only positively: pure
-    cf2 = simp(f)                    # PROTECT_ALL keeps it
-    assert len(cf2.clauses) == 1
-
-
 def test_simplify_is_equivalence_under_protect_all():
     for src in ["(p ; q), (~p ; q), (p ; ~q)",
                 "all(x, (p(x) -> q(x))), p(a)",
                 "a=b, (p(a) -> p(b))"]:
         f = parse_formula(src)
-        cf = simplify_clausal(clausify(f), PROTECT_ALL)
+        cf = simplify_clausal(clausify(f))
         g = clauses_to_formula(cf)
         assert fo_equivalent(f, g), (src, print_text(g))
 
@@ -239,7 +216,7 @@ def simplified_both_ways(f):
     """clausify_simplified(f) and the clausify + simplify_clausal it
     stands for, as clause lists."""
     return (clausify_simplified(f).clauses,
-            simplify_clausal(clausify(f), PROTECT_ALL).clauses)
+            simplify_clausal(clausify(f)).clauses)
 
 
 def test_cnf_drops_tautologies_repeats_and_duplicates():
@@ -359,7 +336,7 @@ def roundtrip(src):
     ctx = Context()
     f = parse_formula(src)
     ctx.reserve_formula(f)
-    cf = clausify(f, "equivalence", ctx)
+    cf = clausify(f, ctx)
     return unskolemize(cf, ctx)
 
 
@@ -385,7 +362,7 @@ def test_unskolemize_chain_violation_raises():
     from pie.preprocess import ClausalForm
     c = Clause(((True, Atom("p", (Fn("sk1", (Var("x"),)),
                                   Fn("sk2", (Var("y"),))))),))
-    cf = ClausalForm([c], {"sk1": (1, ("x",)), "sk2": (1, ("y",))}, set())
+    cf = ClausalForm([c], {"sk1": (1, ("x",)), "sk2": (1, ("y",))})
     with pytest.raises(UnskolemizeError):
         unskolemize(cf)
 
