@@ -13,8 +13,8 @@ from .formula import (
     is_first_order, neg, nnf,
 )
 from .syntax import (
-    ParseError, PrintOptions, emit_dimacs, emit_qdimacs, emit_tptp,
-    parse_formula, parse_term, print_formula, print_latex, print_text,
+    ParseError, emit_dimacs, emit_qdimacs, emit_tptp, parse_formula,
+    parse_term, print_latex, print_text,
 )
 from .macros import (
     BuiltinCall, MacroDefinition, MacroError, MacroTable, define_macro,

@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from .document import (
-    DocumentError, default_timeout_ms, load_document, process_document,
+    DocumentError, default_timeout_ms, load_document, process_file,
 )
 from .elimination import EliminationTask, eliminate
 from .formula import Context, Implies
@@ -39,10 +39,7 @@ def _expand_arg(args):
 
 
 def cmd_process(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        src = fh.read()
-    doc, table = load_document(src)
-    out = process_document(doc, table=table)
+    out = process_file(args.file)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out)

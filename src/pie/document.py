@@ -19,7 +19,7 @@ from .macros import (
     define_macro, expand, is_placeholder,
 )
 from .prover import ProverConfig, validate
-from .syntax import ParseError, Parser, PrintOptions, print_latex
+from .syntax import ParseError, Parser, print_latex
 
 
 class DocumentError(Exception):
@@ -353,15 +353,12 @@ class DirectiveResult:
     detail: str = ""
 
 
-_LATEX_OPTS = PrintOptions("latex")
-
-
 def _display(f: Formula) -> str:
-    return "\\[\n" + print_latex(f, _LATEX_OPTS) + "\n\\]"
+    return "\\[\n" + print_latex(f) + "\n\\]"
 
 
 def _inline(f: Formula) -> str:
-    return "$" + print_latex(f, _LATEX_OPTS) + "$"
+    return "$" + print_latex(f) + "$"
 
 
 def run_directive(d: Directive, pctx: ProcessingContext) -> DirectiveResult:
@@ -470,17 +467,10 @@ def _param_text(prm):
     return print_term(prm)
 
 
-def process_document(doc: PieDocument,
-                     pctx: ProcessingContext | None = None,
-                     table: MacroTable | None = None) -> str:
-    """Render the document to LaTeX, executing directives in order."""
-    if pctx is None:
-        if table is None:
-            table = MacroTable()
-            for item in doc.items:
-                if isinstance(item, MacroDefStatement):
-                    table = define_macro(table, item.definition)
-        pctx = ProcessingContext(table)
+def process_document(doc: PieDocument, table: MacroTable) -> str:
+    """Render the document to LaTeX, executing directives in order with
+    the macros of table (as load_document returns them)."""
+    pctx = ProcessingContext(table)
     parts = []
     for item in doc.items:
         if isinstance(item, LatexFragment):

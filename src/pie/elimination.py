@@ -34,7 +34,8 @@ class _Nonreducible(EliminationError):
     pass
 
 
-DEFAULT_BRANCH_BOUND = 64
+# the most case-split branches of one elimination step
+BRANCH_BOUND = 64
 
 
 @dataclass
@@ -42,7 +43,6 @@ class EliminationTask:
     formula: Formula
     pre: str | None = None            # None | 'c6' | 'd6'
     simp_result: str | None = None    # None | 'c6'
-    branch_bound: int = DEFAULT_BRANCH_BOUND
     timeout_ms: int = 30000
 
 
@@ -58,58 +58,40 @@ class EliminationOutcome:
 # Truth-constant simplification
 
 def truth_simplify(f: Formula) -> Formula:
-    """Absorb Truth/Falsity, drop vacuous quantifiers, fold t=t."""
-    if isinstance(f, (Atom, Truth, Falsity)):
-        return f
-    if isinstance(f, Eq):
+    """Absorb Truth/Falsity (through neg, conj and disj), drop vacuous
+    quantifiers, fold t=t; atoms, lambdas and macro calls stay as is."""
+    t = type(f)
+    if t is Eq:
         return TRUE if f.lhs == f.rhs else f
-    if isinstance(f, Not):
-        g = truth_simplify(f.arg)
-        if isinstance(g, Truth):
-            return FALSE
-        if isinstance(g, Falsity):
-            return TRUE
-        if isinstance(g, Not):
-            return g.arg
-        return Not(g)
-    if isinstance(f, And):
-        return conj(truth_simplify(a) for a in f.args)
-    if isinstance(f, Or):
-        return disj(truth_simplify(a) for a in f.args)
-    if isinstance(f, Implies):
+    if t is Not:
+        return neg(truth_simplify(f.arg))
+    if t is And or t is Or:
+        return (conj if t is And else disj)(map(truth_simplify, f.args))
+    if t is Implies or t is Iff:
         lhs, rhs = truth_simplify(f.lhs), truth_simplify(f.rhs)
-        if isinstance(lhs, Truth):
+        lt, rt = type(lhs), type(rhs)
+        # true->B is B, false->B and A->true are true, A->false is ~A;
+        # true<->B is B, A<->true is A, false<->B is ~B, A<->false is ~A
+        if lt is Truth:
             return rhs
-        if isinstance(lhs, Falsity) or isinstance(rhs, Truth):
-            return TRUE
-        if isinstance(rhs, Falsity):
-            return truth_simplify(Not(lhs))
-        return Implies(lhs, rhs)
-    if isinstance(f, Iff):
-        lhs, rhs = truth_simplify(f.lhs), truth_simplify(f.rhs)
-        if isinstance(lhs, Truth):
-            return rhs
-        if isinstance(rhs, Truth):
+        if t is Iff and rt is Truth:
             return lhs
-        if isinstance(lhs, Falsity):
-            return truth_simplify(Not(rhs))
-        if isinstance(rhs, Falsity):
+        if lt is Falsity:
+            return TRUE if t is Implies else truth_simplify(Not(rhs))
+        if rt is Truth:
+            return TRUE
+        if rt is Falsity:
             return truth_simplify(Not(lhs))
-        return Iff(lhs, rhs)
-    if isinstance(f, (ForAll, Exists)):
+        return t(lhs, rhs)
+    if t is ForAll or t is Exists or t is ForAll2 or t is Exists2:
         body = truth_simplify(f.body)
-        if isinstance(body, (Truth, Falsity)):
+        if type(body) is Truth or type(body) is Falsity:
             return body
+        if t is ForAll2 or t is Exists2:
+            return t(f.preds, body)
         fv = free_vars(body)
         vs = tuple(v for v in f.vars if v in fv)
-        if not vs:
-            return body
-        return type(f)(vs, body)
-    if isinstance(f, (ForAll2, Exists2)):
-        body = truth_simplify(f.body)
-        if isinstance(body, (Truth, Falsity)):
-            return body
-        return type(f)(f.preds, body)
+        return t(vs, body) if vs else body
     return f
 
 
@@ -191,7 +173,7 @@ def _p_lits(c: Clause, p):
     return pos, negs
 
 
-def _split_cases(clauses, p, def_sign, branch_bound, deadline):
+def _split_cases(clauses, p, def_sign, deadline):
     """Case lists in which every clause has at most one literal of the
     definitional sign of p and no such literal together with one of the
     opposite sign; non-ground blockers make the split unsound."""
@@ -213,7 +195,7 @@ def _split_cases(clauses, p, def_sign, branch_bound, deadline):
             for lit in c.literals:
                 new.append(case + [Clause((lit,))])
         cases = new
-        if len(cases) > branch_bound:
+        if len(cases) > BRANCH_BOUND:
             raise _Nonreducible("case-split branch bound exceeded")
         check_deadline(deadline, "elimination")
     return cases
@@ -305,31 +287,33 @@ def _eliminate_pred(p, body, ctx, task, deadline, reserved):
     if not reserved:
         ctx.reserve_formula(g)
     cf = clausify_simplified(g, ctx, deadline)
-    skolems = dict(cf.skolems)
     last = None
     for def_sign in (True, False):
         try:
-            cases = _split_cases(cf.clauses, p, def_sign,
-                                 task.branch_bound, deadline)
+            cases = _split_cases(cf.clauses, p, def_sign, deadline)
             results = [_ackermann_case(p, arity, case, def_sign, ctx)
                        for case in cases]
             out = truth_simplify(disj(results))
-            return _restore_quantifiers(out, skolems, ctx, deadline)
+            return _restore_quantifiers(out, cf.skolems, ctx, deadline)
         except EliminationError as e:
             last = e
     raise _Nonreducible(str(last))
 
 
 def _restore_quantifiers(f, skolems, ctx, deadline):
-    """Un-Skolemize symbols introduced during the elimination step."""
+    """Un-Skolemize the symbols of the skolems record (name -> (arity,
+    dependencies)) introduced during the elimination step."""
     if not skolems:
         return f
     names = all_names(f)
     if names.isdisjoint(skolems):
         return f
     ctx.reserve(names)   # f has the Ackermann step's bound variables
+    cf = clausify_simplified(f, ctx, deadline)
+    # ctx made both records' Skolems fresh, so their names differ
+    cf.skolems.update(skolems)
     try:
-        return unskolemize(clausify_simplified(f, ctx, deadline), ctx)
+        return unskolemize(cf, ctx)
     except UnskolemizeError as e:
         raise _Nonreducible(f"cannot un-Skolemize result: {e}")
 
@@ -409,21 +393,18 @@ def _fo_col2(espec) -> Formula:
     raise EliminationError("e-spec must be a predicate symbol or lambda")
 
 
-def eliminate_staged(espec, branch_bound=DEFAULT_BRANCH_BOUND,
-                     timeout_ms=30000):
+def eliminate_staged(espec, timeout_ms=30000):
     """Two-step elimination of the 2-colorability predicate pair: g with
     CNF preprocessing, then r from the intermediate with DNF
     preprocessing.  Returns (instantiated input, final formula)."""
     f0 = _fo_col2(espec)
     step1 = eliminate(EliminationTask(
-        Exists2((PredSpec("g"),), f0), pre="c6",
-        branch_bound=branch_bound, timeout_ms=timeout_ms))
+        Exists2((PredSpec("g"),), f0), pre="c6", timeout_ms=timeout_ms))
     if step1.status != "success":
         raise EliminationError(f"stage 1 failed: {step1.reason}")
     step2 = eliminate(EliminationTask(
         Exists2((PredSpec("r"),), step1.result), pre="d6",
-        simp_result="c6",
-        branch_bound=branch_bound, timeout_ms=timeout_ms))
+        simp_result="c6", timeout_ms=timeout_ms))
     if step2.status != "success":
         raise EliminationError(f"stage 2 failed: {step2.reason}")
     return espec, step2.result

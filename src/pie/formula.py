@@ -316,8 +316,8 @@ class Context:
     never collide with the vocabulary of formulas under processing.
     """
 
-    def __init__(self, used=()):
-        self.used = set(used)
+    def __init__(self):
+        self.used = set()
         self.last_result = None
 
     def reserve(self, names):
@@ -397,40 +397,36 @@ def free_symbols(f: Formula) -> frozenset:
                 walk_term(a, bound_vars)
 
     def walk(g, pol, bound_vars, bound_preds):
-        if isinstance(g, Atom):
+        t = type(g)
+        if t is Atom:
             if g.pred not in bound_preds:
                 note(g.pred, "predicate", len(g.args), pol)
             for a in g.args:
                 walk_term(a, bound_vars)
-        elif isinstance(g, Eq):
+        elif t is Eq:
             walk_term(g.lhs, bound_vars)
             walk_term(g.rhs, bound_vars)
-        elif isinstance(g, (Truth, Falsity)):
-            pass
-        elif isinstance(g, Not):
+        elif t is Not:
             walk(g.arg, -pol, bound_vars, bound_preds)
-        elif isinstance(g, (And, Or)):
-            for a in g.args:
-                walk(a, pol, bound_vars, bound_preds)
-        elif isinstance(g, Implies):
+        elif t is Implies:
             walk(g.lhs, -pol, bound_vars, bound_preds)
             walk(g.rhs, pol, bound_vars, bound_preds)
-        elif isinstance(g, Iff):
+        elif t is Iff:
             walk(g.lhs, 0, bound_vars, bound_preds)
             walk(g.rhs, 0, bound_vars, bound_preds)
-        elif isinstance(g, (ForAll, Exists)):
-            walk(g.body, pol, bound_vars | set(g.vars), bound_preds)
-        elif isinstance(g, (ForAll2, Exists2)):
+        elif t is ForAll or t is Exists or t is Lambda:
+            names = g.params if t is Lambda else g.vars
+            walk(g.body, pol, bound_vars | set(names), bound_preds)
+        elif t is ForAll2 or t is Exists2:
             walk(g.body, pol, bound_vars,
                  bound_preds | {p.name for p in g.preds})
-        elif isinstance(g, Lambda):
-            walk(g.body, pol, bound_vars | set(g.params), bound_preds)
-        elif isinstance(g, LambdaApp):
+        elif t is LambdaApp:
             walk(beta_reduce(g), pol, bound_vars, bound_preds)
-        elif isinstance(g, MacroCall):
+        elif t is MacroCall:
             raise FormulaError("free_symbols on unexpanded macro call")
-        else:
-            raise FormulaError(f"unknown formula node {g!r}")
+        else:   # And, Or, Truth, Falsity
+            for a in children(g):
+                walk(a, pol, bound_vars, bound_preds)
 
     walk(f, 1, frozenset(), frozenset())
     return frozenset(Occ(n, k, a, p) for (n, k, a), p in acc.items())
@@ -603,76 +599,57 @@ def substitute_predicate(f: Formula, p: PredSpec, replacement) -> Formula:
 # ---------------------------------------------------------------------------
 # Negation normal form
 
+_DUAL = {ForAll: Exists, Exists: ForAll, ForAll2: Exists2, Exists2: ForAll2}
+
+
 def nnf(f: Formula) -> Formula:
-    """Negation normal form: negation only on atoms/equalities, no ->/<->.
+    """Negation normal form: negation only on atoms and equalities, no
+    -> or <->.  And and Or are rebuilt by conj and disj, so they come out
+    flattened and without Truth/Falsity arguments.  Lambda applications
+    are beta-reduced on the way; a macro call or a bare lambda raises
+    FormulaError."""
+    return _nnf(f, True)
 
-    Lambda applications are beta-reduced on the way."""
 
-    def pos(g):
-        if isinstance(g, (Atom, Eq, Truth, Falsity)):
-            return g
-        if isinstance(g, Not):
-            return negf(g.arg)
-        if isinstance(g, And):
-            return conj(pos(a) for a in g.args)
-        if isinstance(g, Or):
-            return disj(pos(a) for a in g.args)
-        if isinstance(g, Implies):
-            return disj([negf(g.lhs), pos(g.rhs)])
-        if isinstance(g, Iff):
-            return conj([disj([negf(g.lhs), pos(g.rhs)]),
-                         disj([negf(g.rhs), pos(g.lhs)])])
-        if isinstance(g, (ForAll, Exists, ForAll2, Exists2)):
-            return type(g)(g.vars if hasattr(g, "vars") else g.preds,
-                           pos(g.body))
-        if isinstance(g, LambdaApp):
-            return pos(beta_reduce(g))
-        if isinstance(g, MacroCall):
-            raise FormulaError("nnf on unexpanded macro call")
-        raise FormulaError(f"nnf: unexpected node {g!r}")
-
-    def negf(g):
-        if isinstance(g, Atom) or isinstance(g, Eq):
-            return Not(g)
-        if isinstance(g, Truth):
-            return FALSE
-        if isinstance(g, Falsity):
-            return TRUE
-        if isinstance(g, Not):
-            return pos(g.arg)
-        if isinstance(g, And):
-            return disj(negf(a) for a in g.args)
-        if isinstance(g, Or):
-            return conj(negf(a) for a in g.args)
-        if isinstance(g, Implies):
-            return conj([pos(g.lhs), negf(g.rhs)])
-        if isinstance(g, Iff):
-            return conj([disj([pos(g.lhs), pos(g.rhs)]),
-                         disj([negf(g.lhs), negf(g.rhs)])])
-        if isinstance(g, ForAll):
-            return Exists(g.vars, negf(g.body))
-        if isinstance(g, Exists):
-            return ForAll(g.vars, negf(g.body))
-        if isinstance(g, ForAll2):
-            return Exists2(g.preds, negf(g.body))
-        if isinstance(g, Exists2):
-            return ForAll2(g.preds, negf(g.body))
-        if isinstance(g, LambdaApp):
-            return negf(beta_reduce(g))
-        if isinstance(g, MacroCall):
-            raise FormulaError("nnf on unexpanded macro call")
-        raise FormulaError(f"nnf: unexpected node {g!r}")
-
-    return pos(f)
+def _nnf(g, pos):
+    """nnf(g) if pos, else nnf(~g)."""
+    t = type(g)
+    if t is Atom or t is Eq:
+        return g if pos else Not(g)
+    if t is Not:
+        return _nnf(g.arg, not pos)
+    if t is And or t is Or:
+        join = conj if (t is And) == pos else disj
+        return join(_nnf(a, pos) for a in g.args)
+    if t in _DUAL:
+        head = g.preds if t is ForAll2 or t is Exists2 else g.vars
+        return (t if pos else _DUAL[t])(head, _nnf(g.body, pos))
+    if t is Implies:
+        join = disj if pos else conj
+        return join([_nnf(g.lhs, not pos), _nnf(g.rhs, pos)])
+    if t is Iff:
+        lhs, rhs = g.lhs, g.rhs
+        if pos:
+            return conj([disj([_nnf(lhs, False), _nnf(rhs, True)]),
+                         disj([_nnf(rhs, False), _nnf(lhs, True)])])
+        return conj([disj([_nnf(lhs, True), _nnf(rhs, True)]),
+                     disj([_nnf(lhs, False), _nnf(rhs, False)])])
+    if t is Truth or t is Falsity:
+        return g if pos else neg(g)
+    if t is LambdaApp:
+        return _nnf(beta_reduce(g), pos)
+    if t is MacroCall:
+        raise FormulaError("nnf on unexpanded macro call")
+    raise FormulaError(f"nnf: unexpected node {g!r}")
 
 
 # ---------------------------------------------------------------------------
 # Bound-variable renaming
 
-def rename_bound(f: Formula, avoid=None) -> Formula:
+def rename_bound(f: Formula) -> Formula:
     """Alpha-rename so all bound variables are pairwise distinct and
     distinct from free symbols.  f must be macro-free."""
-    taken = set(avoid or ()) | {o.name for o in free_symbols(f)}
+    taken = {o.name for o in free_symbols(f)}
     assigned = set()
 
     def pick(base):

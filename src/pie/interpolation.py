@@ -91,14 +91,12 @@ def _vocab(f: Formula):
     return {(o.kind, o.name, o.arity) for o in free_symbols(f)}
 
 
-def generalize_constants(h: Formula, left_vocab, right_vocab,
-                         ctx: Context | None = None) -> Formula:
+def generalize_constants(h: Formula, left_vocab, right_vocab) -> Formula:
     """Replace side-private constants of a ground interpolant by
     quantified variables: left-only constants become existential,
     right-only (including proof-grounding constants private to both
     sides) universal; the existential block is outermost."""
-    if ctx is None:
-        ctx = Context()
+    ctx = Context()
     ctx.reserve_formula(h)
     ex_names, all_names_ = [], []
     for c in _constants(h):

@@ -356,13 +356,12 @@ def _bind_fresh(template, binding, ctx):
 
 
 class _Expander:
-    def __init__(self, table, ctx, depth):
+    def __init__(self, table, ctx):
         self.table = table
         self.ctx = ctx
-        self.depth = depth
 
     def expand(self, f, depth=0):
-        if depth > self.depth:
+        if depth > DEFAULT_DEPTH:
             raise MacroError("macro expansion depth bound exceeded "
                              "(unbounded recursion?)")
         if isinstance(f, Atom):
@@ -472,11 +471,11 @@ def _transfer_specs(v, binding):
     return out
 
 
-def expand(table: MacroTable, f: Formula, ctx: Context | None = None,
-           depth: int = DEFAULT_DEPTH) -> Formula:
+def expand(table: MacroTable, f: Formula,
+           ctx: Context | None = None) -> Formula:
     """Expand every macro call in f; the result is macro-free with
     lambda applications introduced by instantiation beta-reduced."""
     if ctx is None:
         ctx = Context()
     ctx.reserve_formula(f)
-    return _Expander(table, ctx, depth).expand(f)
+    return _Expander(table, ctx).expand(f)

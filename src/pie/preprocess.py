@@ -8,6 +8,7 @@ clausal form, simplify, and convert back; both preserve equivalence.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import time
@@ -87,17 +88,13 @@ def lit_complement(lit):
 
 def miniscope(f: Formula) -> Formula:
     """Push quantifiers inward to reduce Skolem arity (NNF input)."""
-    if isinstance(f, (Atom, Eq, Truth, Falsity, Not)):
-        return f
-    if isinstance(f, And):
-        return conj(miniscope(a) for a in f.args)
-    if isinstance(f, Or):
-        return disj(miniscope(a) for a in f.args)
-    if isinstance(f, (ForAll, Exists)):
-        body = miniscope(f.body)
-        out = body
+    t = type(f)
+    if t is And or t is Or:
+        return (conj if t is And else disj)(map(miniscope, f.args))
+    if t is ForAll or t is Exists:
+        out = miniscope(f.body)
         for v in reversed(f.vars):
-            out = _push_one(type(f), v, out)
+            out = _push_one(t, v, out)
         return out
     return f
 
@@ -589,14 +586,21 @@ def _drop_subsumed(clauses, deadline=math.inf):
     that subsume each other only the first can be kept.
 
     subsumes(d, c) needs len(d) <= len(c) and _features(d) <= _features(c),
-    so c is compared only with such clauses, shortest first."""
+    so c is compared only with such clauses: those of its own feature set
+    and of the proper subsets, which have fewer features.  They are taken
+    shortest first, then by feature set and index in order of appearance."""
     groups = {}   # feature set -> indices of the clauses that have it
     for i, c in enumerate(clauses):
         groups.setdefault(_features(c), []).append(i)
     size = [len(c) for c in clauses]
     dropped = [False] * len(clauses)
+    by_count = sorted(groups, key=len)
+    counts = [len(k) for k in by_count]
     for fs, group in groups.items():
-        cands = sorted((j for k, g in groups.items() if k <= fs for j in g),
+        smaller = by_count[:bisect.bisect_left(counts, len(fs))]
+        keys = sorted([k for k in smaller if k < fs] + [fs],
+                      key=lambda k: groups[k][0])
+        cands = sorted((j for k in keys for j in groups[k]),
                        key=size.__getitem__)
         for i in group:
             check_deadline(deadline, "clausal simplification")
@@ -646,9 +650,10 @@ def _nice_renaming(vs, taken):
     return ren
 
 
-def clause_to_formula(c: Clause, close=True, taken=(),
+def clause_to_formula(c: Clause, taken=(),
                       exclude=frozenset()) -> Formula:
-    """Render a clause as an implication between positive parts."""
+    """Render a clause as an implication between positive parts,
+    universally closed over its variables outside exclude."""
     negs = [a for s, a in c.literals if not s]
     poss = [a for s, a in c.literals if s]
     if negs and poss:
@@ -659,49 +664,39 @@ def clause_to_formula(c: Clause, close=True, taken=(),
         f = neg(conj(negs))
     else:
         f = FALSE
-    if close:
-        vs = clause_vars(c) - set(exclude)
-        # the clause's own function symbols are taken too, so that the
-        # quantifier cannot capture a constant when the text is read back
-        functors = {t.functor for t in clause_terms(c) if isinstance(t, Fn)}
-        ren = _nice_renaming(vs, set(taken) | set(exclude) | functors)
-        f = subst_vars(f, ren)
-        f = forall(sorted({t.name for t in ren.values()},
-                          key=lambda n: (_NICE_VARS.index(n)
-                                         if n in _NICE_VARS else 99, n)), f)
-    return f
+    vs = clause_vars(c) - set(exclude)
+    # the clause's own function symbols are taken too, so that the
+    # quantifier cannot capture a constant when the text is read back
+    functors = {t.functor for t in clause_terms(c) if isinstance(t, Fn)}
+    ren = _nice_renaming(vs, set(taken) | set(exclude) | functors)
+    f = subst_vars(f, ren)
+    return forall(sorted({t.name for t in ren.values()},
+                         key=lambda n: (_NICE_VARS.index(n)
+                                        if n in _NICE_VARS else 99, n)), f)
 
 
-def clauses_to_formula(cf: ClausalForm, taken=()) -> Formula:
+def clauses_to_formula(cf: ClausalForm) -> Formula:
     if not cf.clauses:
         return TRUE
-    return conj(clause_to_formula(c, taken=taken) for c in cf.clauses)
+    return conj(clause_to_formula(c) for c in cf.clauses)
 
 
 # ---------------------------------------------------------------------------
 # Un-Skolemization
 
-def _skolem_names(cf: ClausalForm):
-    names = dict(cf.skolems)
-    for c in cf.clauses:
-        for t in clause_terms(c):
-            if isinstance(t, Fn) and t.functor.startswith("sk") \
-                    and t.functor[2:].isdigit():
-                names.setdefault(t.functor, (len(t.args), None))
-    return names
-
-
 def unskolemize(cf: ClausalForm, ctx: Context | None = None) -> Formula:
-    """Reconstruct a quantified formula without Skolem symbols.
+    """Reconstruct a quantified formula without the Skolem symbols that
+    cf.skolems records; other function symbols stay as they are.  The
+    fresh variables avoid the names in ctx and every variable and
+    function symbol of the clauses.
 
     Raises UnskolemizeError when the dependency pattern is not
     invertible into a single quantifier prefix per clause group."""
     if ctx is None:
         ctx = Context()
-    for c in cf.clauses:
-        for v in clause_vars(c):
-            ctx.reserve([v])
-    skolems = _skolem_names(cf)
+    ctx.reserve(t.name if isinstance(t, Var) else t.functor
+                for c in cf.clauses for t in clause_terms(c))
+    skolems = cf.skolems
     if any(len(c) == 0 for c in cf.clauses):
         return FALSE
     if not cf.clauses:
@@ -769,8 +764,8 @@ def _unskolemize_group(cs, syms, skolems, ctx):
         prefix.append(("ex", exvars[s]))
 
     bound = emitted | set(exvars.values())
-    matrix = conj(clause_to_formula(c, close=True, taken=bound,
-                                    exclude=bound) for c in new_clauses)
+    matrix = conj(clause_to_formula(c, taken=bound, exclude=bound)
+                  for c in new_clauses)
     for kind, v in reversed(prefix):
         if kind == "all":
             matrix = ForAll((v,) + matrix.vars, matrix.body) \

@@ -26,9 +26,10 @@ from dataclasses import dataclass, field, replace
 
 from .formula import (
     And, Atom, Context, Eq, Exists, Exists2, Falsity, Fn, ForAll, ForAll2,
-    Formula, Iff, Implies, Not, Or, PredSpec, Truth, Var, atom_terms,
-    free_symbols, free_vars, is_first_order, map_atom, map_term, neg,
-    predicate_arities, substitute_predicate,
+    Formula, Iff, Implies, Lambda, LambdaApp, MacroCall, Not, Or, PredSpec,
+    Truth, Var, atom_terms, free_symbols, free_vars, is_first_order,
+    map_atom, map_children, map_term, neg, predicate_arities,
+    substitute_predicate,
 )
 from .preprocess import (
     Clause, DeadlineExceeded, clause_terms, clause_vars, clausify,
@@ -425,37 +426,25 @@ def check_tableau(root: TableauNode, clauses) -> bool:
 # ---------------------------------------------------------------------------
 # Formula-level proving
 
-def reduce_so_universal(f: Formula, ctx: Context | None = None) -> Formula:
+def reduce_so_universal(f: Formula) -> Formula:
     """Eliminate second-order quantifiers that do not affect validity:
     positive universal and negative existential predicate quantifiers
-    are dropped after renaming the bound predicates fresh."""
-    if ctx is None:
-        ctx = Context()
-        ctx.reserve_formula(f)
+    are dropped after renaming the bound predicates fresh.  Any other
+    second-order quantifier, a lambda (applied or not) or a macro call
+    raises ProverError."""
+    ctx = Context()
+    ctx.reserve_formula(f)
 
     def walk(g, pol):
-        if isinstance(g, (Atom, Eq, Truth, Falsity)):
-            return g
-        if isinstance(g, Not):
+        t = type(g)
+        if t is Not:
             return Not(walk(g.arg, -pol))
-        if isinstance(g, And):
-            return And(tuple(walk(a, pol) for a in g.args))
-        if isinstance(g, Or):
-            return Or(tuple(walk(a, pol) for a in g.args))
-        if isinstance(g, Implies):
+        if t is Implies:
             return Implies(walk(g.lhs, -pol), walk(g.rhs, pol))
-        if isinstance(g, Iff):
-            lhs, rhs = walk(g.lhs, 0), walk(g.rhs, 0)
-            if not (is_first_order(lhs) and is_first_order(rhs)):
-                raise ProverError(
-                    "second-order quantifier under an equivalence")
-            return Iff(lhs, rhs)
-        if isinstance(g, (ForAll, Exists)):
-            return type(g)(g.vars, walk(g.body, pol))
-        if isinstance(g, (ForAll2, Exists2)):
-            reducible = (isinstance(g, ForAll2) and pol == 1) or \
-                        (isinstance(g, Exists2) and pol == -1)
-            if not reducible or pol == 0:
+        if t is Iff:
+            return Iff(walk(g.lhs, 0), walk(g.rhs, 0))
+        if t is ForAll2 or t is Exists2:
+            if pol != (1 if t is ForAll2 else -1):
                 raise ProverError(
                     "irreducible second-order quantifier for validity")
             body = g.body
@@ -469,7 +458,9 @@ def reduce_so_universal(f: Formula, ctx: Context | None = None) -> Formula:
                 body = substitute_predicate(body, PredSpec(p.name, arity),
                                             fresh)
             return walk(body, pol)
-        raise ProverError(f"cannot reduce {g!r}")
+        if t is Lambda or t is LambdaApp or t is MacroCall:
+            raise ProverError(f"cannot reduce {g!r}")
+        return map_children(g, lambda h: walk(h, pol))
 
     return walk(f, 1)
 

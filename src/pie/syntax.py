@@ -376,12 +376,6 @@ def _check_arities(f):
 # ---------------------------------------------------------------------------
 # Text printing
 
-@dataclass(frozen=True)
-class PrintOptions:
-    style: str = "text"          # 'text' | 'latex'
-    symbol_conversion: bool = True
-
-
 # precedence levels; lower binds looser
 _P_IFF, _P_IMPL, _P_OR, _P_AND, _P_NEG, _P_PRIM = range(6)
 
@@ -476,18 +470,16 @@ def latex_symbol(name: str, italic=False) -> str:
     return out
 
 
-def latex_term(t: Term, opts: PrintOptions) -> str:
+def latex_term(t: Term) -> str:
     if isinstance(t, Var):
-        return latex_symbol(t.name, italic=True) if opts.symbol_conversion \
-            else f"\\mathit{{{t.name}}}"
-    head = latex_symbol(t.functor) if opts.symbol_conversion \
-        else f"\\mathsf{{{t.functor}}}"
+        return latex_symbol(t.name, italic=True)
+    head = latex_symbol(t.functor)
     if not t.args:
         return head
-    return head + "(" + ",".join(latex_term(a, opts) for a in t.args) + ")"
+    return head + "(" + ",".join(latex_term(a) for a in t.args) + ")"
 
 
-def _ltx(f, level, opts) -> str:
+def _ltx(f, level) -> str:
     def wrap(s, mylevel):
         return f"({s})" if mylevel < level else s
 
@@ -496,70 +488,62 @@ def _ltx(f, level, opts) -> str:
     if isinstance(f, Falsity):
         return r"\bot"
     if isinstance(f, Atom):
-        return latex_term(Fn(f.pred, f.args), opts)
+        return latex_term(Fn(f.pred, f.args))
     if isinstance(f, Eq):
-        return f"{latex_term(f.lhs, opts)}={latex_term(f.rhs, opts)}"
+        return f"{latex_term(f.lhs)}={latex_term(f.rhs)}"
     if isinstance(f, Not):
         if isinstance(f.arg, Eq):
-            return (f"{latex_term(f.arg.lhs, opts)}\\neq "
-                    f"{latex_term(f.arg.rhs, opts)}")
-        return r"\lnot " + _ltx(f.arg, _P_NEG, opts)
+            return f"{latex_term(f.arg.lhs)}\\neq {latex_term(f.arg.rhs)}"
+        return r"\lnot " + _ltx(f.arg, _P_NEG)
     if isinstance(f, And):
-        return wrap(r" \land ".join(_ltx(a, _P_NEG, opts) for a in f.args),
+        return wrap(r" \land ".join(_ltx(a, _P_NEG) for a in f.args),
                     _P_AND)
     if isinstance(f, Or):
-        return wrap(r" \lor ".join(_ltx(a, _P_AND, opts) for a in f.args),
+        return wrap(r" \lor ".join(_ltx(a, _P_AND) for a in f.args),
                     _P_OR)
     if isinstance(f, Implies):
-        return wrap(_ltx(f.lhs, _P_OR, opts) + r" \rightarrow "
-                    + _ltx(f.rhs, _P_IMPL, opts), _P_IMPL)
+        return wrap(_ltx(f.lhs, _P_OR) + r" \rightarrow "
+                    + _ltx(f.rhs, _P_IMPL), _P_IMPL)
     if isinstance(f, Iff):
-        return wrap(_ltx(f.lhs, _P_IMPL, opts) + r" \leftrightarrow "
-                    + _ltx(f.rhs, _P_IFF, opts), _P_IFF)
+        return wrap(_ltx(f.lhs, _P_IMPL) + r" \leftrightarrow "
+                    + _ltx(f.rhs, _P_IFF), _P_IFF)
     if isinstance(f, (ForAll, Exists)):
         q = r"\forall" if isinstance(f, ForAll) else r"\exists"
         vs = " ".join(f"{q} {latex_symbol(v, italic=True)}" for v in f.vars)
-        return wrap(vs + r" \, " + _ltx(f.body, _P_NEG, opts), _P_NEG)
+        return wrap(vs + r" \, " + _ltx(f.body, _P_NEG), _P_NEG)
     if isinstance(f, (ForAll2, Exists2)):
         q = r"\forall" if isinstance(f, ForAll2) else r"\exists"
         vs = " ".join(f"{q} {latex_symbol(p.name, italic=True)}"
                       for p in f.preds)
-        return wrap(vs + r" \, " + _ltx(f.body, _P_NEG, opts), _P_NEG)
+        return wrap(vs + r" \, " + _ltx(f.body, _P_NEG), _P_NEG)
     if isinstance(f, Lambda):
         vs = ",".join(latex_symbol(v, italic=True) for v in f.params)
-        return wrap(r"\lambda (" + vs + ")." + _ltx(f.body, _P_NEG, opts),
-                    _P_NEG)
+        return wrap(r"\lambda (" + vs + ")." + _ltx(f.body, _P_NEG), _P_NEG)
     if isinstance(f, LambdaApp):
-        return _ltx(beta_reduce(f), level, opts)
+        return _ltx(beta_reduce(f), level)
     if isinstance(f, MacroCall):
         head = latex_symbol(f.name, italic=True)
         if not f.args:
             return head
         return head + "(" + ",".join(
-            ("[" + ",".join(_arg_ltx(x, opts) for x in a) + "]")
-            if isinstance(a, tuple) else _arg_ltx(a, opts)
+            ("[" + ",".join(_arg_ltx(x) for x in a) + "]")
+            if isinstance(a, tuple) else _arg_ltx(a)
             for a in f.args) + ")"
     raise ValueError(f"cannot print {f!r}")
 
 
-def _arg_ltx(a, opts):
+def _arg_ltx(a):
     if isinstance(a, Term):
-        return latex_term(a, opts)
-    return _ltx(a, _P_NEG, opts)
+        return latex_term(a)
+    return _ltx(a, _P_NEG)
 
 
-def print_latex(f: Formula, opts: PrintOptions = PrintOptions("latex")) -> str:
+def print_latex(f: Formula) -> str:
     if isinstance(f, And):
         rows = r" \; \land \\" + "\n"
-        body = rows.join(_ltx(a, _P_NEG, opts) for a in f.args)
+        body = rows.join(_ltx(a, _P_NEG) for a in f.args)
         return "\\begin{array}{l}\n" + body + "\n\\end{array}"
-    return _ltx(f, _P_IFF, opts)
-
-
-def print_formula(f: Formula, opts: PrintOptions = PrintOptions()) -> str:
-    if opts.style == "latex":
-        return print_latex(f, opts)
-    return print_text(f)
+    return _ltx(f, _P_IFF)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,10 @@
 import os
 
 from pie.cli import main
+from pie.formula import Occ, free_symbols
+from pie.syntax import parse_formula
+
+from oracles import fo_equivalent
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                        "workbench.pie")
@@ -30,6 +34,17 @@ def test_parse_error_is_usage_error(capsys):
 def test_elim(capsys):
     code, out, _ = run(capsys, "elim", "ex2(p, (p, (p -> q(a))))")
     assert code == 0 and out.strip() == "q(a)"
+
+
+def test_elim_result_keeps_constants_free(capsys):
+    # the quantifiers that un-Skolemization puts back do not bind x
+    code, out, _ = run(capsys, "elim",
+                       "ex2(q, (q(a), all(z, ex(w, r(z,w,x)))))",
+                       "--simp", "c6")
+    assert code == 0
+    g = parse_formula(out)
+    assert Occ("x", "function", 0, "both") in free_symbols(g)
+    assert fo_equivalent(g, parse_formula("all(z, ex(w, r(z,w,x)))"))
 
 
 def test_elim_nonreducible_exit(capsys):

@@ -4,6 +4,7 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given
 
 from pie import preprocess
 from pie.elimination import (
@@ -11,7 +12,8 @@ from pie.elimination import (
     truth_simplify,
 )
 from pie.formula import (
-    Context, Exists2, PredSpec, free_symbols, is_first_order,
+    Context, Exists2, Falsity, PredSpec, Truth, free_symbols,
+    is_first_order, subformulas,
 )
 from pie.macros import expand
 from pie.syntax import parse_formula, print_text
@@ -19,6 +21,7 @@ from pie.syntax import parse_formula, print_text
 from oracles import (
     fo_equivalent, prop_atoms, prop_corpus, truth_table,
 )
+from test_formula import prop_formulas
 from test_macros import CIRC, table_from
 
 
@@ -85,6 +88,14 @@ def test_un_skolemization_in_results():
     assert not any(n.startswith("sk") for n in names)
     assert fo_equivalent(
         out.result, parse_formula("all(x, (q(x) -> ex(y, r(x, y))))"))
+
+
+def test_constant_named_like_a_skolem_symbol_stays():
+    # only the Skolem symbols that clausification recorded are turned
+    # back into quantified variables, not every functor named sk<n>
+    out = elim("ex2(q, (q(a), p(sk1)))", simp_result="c6")
+    assert out.status == "success"
+    assert out.result == parse_formula("p(sk1)")
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +259,18 @@ def test_dls_agrees_with_shannon_on_corpus():
 def test_truth_simplify(src, want):
     got = truth_simplify(parse_formula(src))
     assert got == parse_formula(want)
+
+
+@given(prop_formulas())
+def test_truth_simplify_property(f):
+    # the rules for ->, <-> and ~ included: same truth table, and a
+    # constant survives only as the whole result
+    g = truth_simplify(f)
+    atoms = ["p", "q", "r"]
+    assert truth_table(f, atoms) == truth_table(g, atoms)
+    if not isinstance(g, (Truth, Falsity)):
+        assert not any(isinstance(h, (Truth, Falsity))
+                       for h in subformulas(g))
 
 
 # ---------------------------------------------------------------------------

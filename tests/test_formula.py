@@ -192,12 +192,14 @@ def test_map_term_tries_leaf_first():
 # ---------------------------------------------------------------------------
 # Property: random propositional formulas, nnf round-trips semantics
 
-_atoms = st.sampled_from([Atom("p", ()), Atom("q", ()), Atom("r", ())])
+_leaves = st.sampled_from([Atom("p", ()), Atom("q", ()), Atom("r", ()),
+                           TRUE, FALSE])
 
 
-def _formulas():
+def prop_formulas():
+    """Random propositional formulas over p, q, r, true and false."""
     return st.recursive(
-        _atoms,
+        _leaves,
         lambda kids: st.one_of(
             kids.map(Not),
             st.tuples(kids, kids).map(lambda t: And(t)),
@@ -208,17 +210,19 @@ def _formulas():
         max_leaves=8)
 
 
-@given(_formulas())
+@given(prop_formulas())
 def test_nnf_property(f):
     g = nnf(f)
     atoms = ["p", "q", "r"]
     assert truth_table(f, atoms) == truth_table(g, atoms)
-    # NNF result contains no Implies/Iff and negation only on atoms
+    # NNF result contains no Implies/Iff, negation only on atoms and no
+    # true/false below an And/Or
     def check(h):
         assert not isinstance(h, (Implies, Iff))
         if isinstance(h, Not):
             assert isinstance(h.arg, (Atom, Eq))
         elif isinstance(h, (And, Or)):
             for a in h.args:
+                assert not isinstance(a, (Truth, Falsity))
                 check(a)
     check(g)

@@ -356,6 +356,18 @@ def test_unskolemize_inverts_skolemization(src):
     assert fo_equivalent(f, g), print_text(g)
 
 
+def test_unskolemize_keeps_constants_named_like_skolem_symbols():
+    assert pipeline_c6(parse_formula("p(sk1)")) == parse_formula("p(sk1)")
+
+
+def test_unskolemize_does_not_capture_constants():
+    # the fresh universal variable avoids the constant x of the clause
+    f = parse_formula("all(z, ex(w, p(z, w, x)))")
+    g = pipeline_c6(f)
+    assert print_text(g) == "all(x1, ex(y, p(x1,y,x)))"
+    assert fo_equivalent(f, g)
+
+
 def test_unskolemize_chain_violation_raises():
     # two skolem constants with incomparable dependency sets sharing a
     # clause cannot be rebuilt into one quantifier prefix
