@@ -289,8 +289,13 @@ def _parse_option_value(p: Parser):
 # ---------------------------------------------------------------------------
 # Loading
 
+# the LaTeX of a directive nested too deeply for the recursion limit
+TOO_DEEP = "\\noindent Directive failed: input nested too deeply."
+
+
 def load_document(src: str):
-    """Parse a PIE document into items and its macro table."""
+    """Parse a PIE document into items and its macro table.  A directive
+    nested too deeply to parse becomes the fragment TOO_DEEP."""
     items = []
     table = MacroTable()
     for kind, text in _scan_statements(src):
@@ -298,8 +303,10 @@ def load_document(src: str):
             items.append(LatexFragment(text))
             continue
         if text.startswith(":-"):
-            item = _parse_directive(text)
-            items.append(item)
+            try:
+                items.append(_parse_directive(text))
+            except RecursionError:
+                items.append(LatexFragment(TOO_DEEP))
             continue
         if text.startswith("def"):
             mdef = _parse_def(text)
@@ -469,7 +476,8 @@ def _param_text(prm):
 
 def process_document(doc: PieDocument, table: MacroTable) -> str:
     """Render the document to LaTeX, executing directives in order with
-    the macros of table (as load_document returns them)."""
+    the macros of table (as load_document returns them).  A directive
+    nested too deeply to run renders as TOO_DEEP."""
     pctx = ProcessingContext(table)
     parts = []
     for item in doc.items:
@@ -480,9 +488,12 @@ def process_document(doc: PieDocument, table: MacroTable) -> str:
         elif isinstance(item, MacroDefStatement):
             parts.append(_render_macro_def(item))
         elif isinstance(item, Directive):
-            r = run_directive(item, pctx)
-            if r.text:
-                parts.append(r.text)
+            try:
+                text = run_directive(item, pctx).text
+            except RecursionError:
+                text = TOO_DEEP
+            if text:
+                parts.append(text)
         else:
             raise DocumentError(f"unknown document item {item!r}")
     return "\n\n".join(parts) + "\n"

@@ -21,7 +21,7 @@ from .formula import (
 )
 from .preprocess import (
     Clause, DeadlineExceeded, PIPELINES, check_deadline, clause_subst,
-    clause_to_formula, clause_vars, clausify_simplified, unskolemize,
+    clause_to_formula, clause_vars, clausify, simplify_clausal, unskolemize,
     UnskolemizeError,
 )
 
@@ -286,7 +286,7 @@ def _eliminate_pred(p, body, ctx, task, deadline, reserved):
         reserved = False
     if not reserved:
         ctx.reserve_formula(g)
-    cf = clausify_simplified(g, ctx, deadline)
+    cf = simplify_clausal(clausify(g, ctx, deadline), deadline)
     last = None
     for def_sign in (True, False):
         try:
@@ -309,7 +309,7 @@ def _restore_quantifiers(f, skolems, ctx, deadline):
     if names.isdisjoint(skolems):
         return f
     ctx.reserve(names)   # f has the Ackermann step's bound variables
-    cf = clausify_simplified(f, ctx, deadline)
+    cf = simplify_clausal(clausify(f, ctx, deadline), deadline)
     # ctx made both records' Skolems fresh, so their names differ
     cf.skolems.update(skolems)
     try:

@@ -16,8 +16,8 @@ from .formula import (
 )
 from .preprocess import clause_terms
 from .prover import (
-    Model, ProofResult, ProverConfig, TableauNode, _refute, check_tableau,
-    find_countermodel, model_share, reduce_so_universal,
+    Model, ProofResult, ProverConfig, ProverError, TableauNode, _refute,
+    check_tableau, find_countermodel, model_share, reduce_so_universal,
 )
 
 
@@ -151,15 +151,20 @@ def interpolate(task: InterpolationTask,
     """Compute a Craig-Lyndon interpolant for task.left -> task.right
     within config.timeout_ms.
 
-    Second-order quantifiers are first reduced by reduce_so_universal.
-    The proof gets all of the budget but model_share of it; when the
-    proof fails, a countermodel search gets that share."""
+    Second-order quantifiers are first reduced by reduce_so_universal;
+    input it cannot reduce fails, with the reason in the proof.  The
+    proof gets all of the budget but model_share of it; when the proof
+    fails, a countermodel search gets that share."""
     if config is None:
         config = ProverConfig()
     left, right = task.left, task.right
     if not (is_first_order(left) and is_first_order(right)):
         # validity-preserving second-order reduction of the implication
-        red = reduce_so_universal(Implies(left, right))
+        try:
+            red = reduce_so_universal(Implies(left, right))
+        except ProverError as e:
+            return Interpolant(FALSE, ProofResult(False, reason=str(e)),
+                               status="failed")
         left, right = red.lhs, red.rhs
     share = model_share(config.timeout_ms)
     result, left_cs, right_cs = _refute(

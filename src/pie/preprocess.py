@@ -124,7 +124,8 @@ def _push_one(q, v, body):
 def clausify(f: Formula, ctx: Context | None = None,
              deadline=math.inf) -> ClausalForm:
     """Convert a first-order, macro-free formula to clausal form: the
-    CNF of its Skolemized matrix.
+    CNF of its Skolemized matrix, without the product clauses that an
+    earlier one implies (see _cnf).
 
     The Skolem symbols are recorded so that unskolemize can invert the
     Skolemization.  Fresh names avoid every name of f only when ctx is
@@ -132,20 +133,6 @@ def clausify(f: Formula, ctx: Context | None = None,
     first.  Tautologies, repeated literals and clauses that repeat an
     earlier one up to variable names are left out.  Past the
     time.monotonic() deadline it raises DeadlineExceeded."""
-    return _clausify(f, ctx, deadline, subsume=False)
-
-
-def clausify_simplified(f: Formula, ctx: Context | None = None,
-                        deadline=math.inf) -> ClausalForm:
-    """simplify_clausal(clausify(f, ctx, deadline), deadline), the same
-    clauses in the same order, but made without the product clauses that
-    an earlier clause subsumes: _cnf drops them while it multiplies out,
-    so they are never built, deduplicated or compared."""
-    return simplify_clausal(_clausify(f, ctx, deadline, subsume=True),
-                            deadline)
-
-
-def _clausify(f, ctx, deadline, subsume):
     if not is_first_order(f):
         raise PreprocessError("clausify requires a first-order formula")
     if ctx is None:
@@ -156,13 +143,7 @@ def _clausify(f, ctx, deadline, subsume):
     g = miniscope(nnf(rename_bound(g)))
     cf = ClausalForm([])
     matrix = _skolemize(g, [], cf, ctx)
-    cf.clauses = _distinct(map(Clause, _cnf(matrix, deadline, subsume)),
-                           deadline)
-    if subsume and _units_clash(cf.clauses):
-        # simplify_clausal keeps shortened copies of clauses that a
-        # clashing unit subsumes, so they must not be left out
-        cf.clauses = _distinct(map(Clause, _cnf(matrix, deadline)),
-                               deadline)
+    cf.clauses = _distinct(map(Clause, _cnf(matrix, deadline)), deadline)
     return cf
 
 
@@ -189,26 +170,6 @@ def _distinct(clauses, deadline):
     if any(len(c) == 0 for c in out):
         return [Clause(())]
     return out
-
-
-def _units_clash(clauses):
-    """Whether, after equality resolution, one unit clause is an instance
-    of the complement of another."""
-    units = {}
-    for c in clauses:
-        if len({(s, pred_key(a)) for s, a in c.literals
-                if s or type(a) is not Eq}) > 1:
-            continue    # two literals that cannot vanish or merge
-        if any(not s and type(a) is Eq for s, a in c.literals):
-            c = _simplify_clause(c)     # equality resolution
-            if c is None:
-                continue
-        if len(c) == 1:
-            s, a = c.literals[0]
-            units.setdefault((s, pred_key(a)), []).append(c.literals[0])
-    return any(match_lit(u, lit_complement(v), {})
-               for (s, key), vs in units.items() for v in vs
-               for u in units.get((not s, key), ()))
 
 
 def pred_key(a):
@@ -242,41 +203,20 @@ def _skolem_body(g: Exists, univ, cf, ctx):
     return subst_vars(g.body, mapping)
 
 
-def _cnf(g, deadline=math.inf, subsume=False):
+def _cnf(g, deadline=math.inf):
     """Distribute a quantifier-free NNF matrix into a list of literal
     tuples.
 
     An Or is multiplied out one argument at a time.  A product clause
     that holds t=t or a complementary pair is dropped as soon as it is
-    made, and so is one whose literal set equals an earlier one; a
-    repeated literal and t!=t are left out of it.  clausify would remove
-    all of these, and every clause made from them, so its output is the
-    same.  With subsume, a clause is also dropped when the literals of an
-    earlier kept clause are a subset of its own (see _Products.keep).
-    Past the time.monotonic() deadline it raises DeadlineExceeded."""
-    run = _Products(deadline, subsume and _resolved_apart(g) is not None)
+    made, and so is one whose literals include all the literals of an
+    earlier kept clause with the same x!=t literals (see _Products.keep);
+    a repeated literal and t!=t are left out of it.  A kept clause
+    implies each dropped one, so the clauses stay equivalent to g.  Past
+    the time.monotonic() deadline it raises DeadlineExceeded."""
+    run = _Products(deadline)
     lit = run.lits.__getitem__
-    return [tuple(map(lit, ids)) for ids, _ in run.cnf(g, 0)]
-
-
-def _resolved_apart(g):
-    """The variables of the x!=t literals with a variable side in g, or
-    None if two arguments of an Or share one.  Without None, the x!=t
-    literals of one product clause have no variable in common, so
-    equality resolution gives the same result in any order."""
-    t = type(g)
-    if t is And or t is Or:
-        out = set()
-        for a in g.args:
-            vs = _resolved_apart(a)
-            if vs is None or (t is Or and vs & out):
-                return None
-            out |= vs
-        return out
-    if t is Not and type(g.arg) is Eq and (
-            type(g.arg.lhs) is Var or type(g.arg.rhs) is Var):
-        return free_vars_term(g.arg.lhs) | free_vars_term(g.arg.rhs)
-    return set()
+    return [tuple(map(lit, ids)) for ids, _ in run.cnf(g)]
 
 
 class _Products:
@@ -284,14 +224,12 @@ class _Products:
     (negative) and 2j+1 (positive), and a clause is a pair (tuple of
     literal ids, int mask with bit i set for each id i)."""
 
-    def __init__(self, deadline, subsume):
+    def __init__(self, deadline):
         self.deadline = deadline
-        self.subsume = subsume
         self.atoms = {}      # atom -> j
         self.lits = []       # id -> literal
         self.same = []       # id -> bits of it and its mirror image a=b/b=a
         self.veqs = 0        # bits of x!=t literals with a variable side
-        self.widths = {}     # id(node) -> its width (see width)
 
     def _atom(self, a):
         j = self.atoms.get(a)
@@ -329,42 +267,23 @@ class _Products:
             ids += (i,)
         return ids, m
 
-    def width(self, g):
-        """The most literals a clause of g can have."""
-        t = type(g)
-        if t is not And and t is not Or:
-            return 0 if t is Truth or t is Falsity else 1
-        w = self.widths.get(id(g))
-        if w is None:
-            ws = map(self.width, g.args)
-            w = sum(ws) if t is Or else max(ws, default=0)
-            self.widths[id(g)] = w
-        return w
-
-    def cnf(self, g, slack):
-        """The clauses of g; an enclosing Or adds at most slack literals
-        to each of them."""
+    def cnf(self, g):
+        """The clauses of g."""
         t = type(g)
         if t is Or:
-            # the slack matters only to the subset filter
-            widths = [self.width(a) if self.subsume else 0 for a in g.args]
-            total = rest = sum(widths)
             out = [((), 0)]
-            for a, w in zip(g.args, widths):
-                rest -= w
-                part = self.cnf(a, slack + total - w)
+            for a in g.args:
+                part = self.cnf(a)
                 if len(out) == 1 and len(part) == 1:
                     check_deadline(self.deadline, "clausification")
                     c = self.join(out[0], part[0])
                     out = [c] if c else []
                 else:
-                    out = self.keep((self.join(c1, c2)
-                                     for c1 in out for c2 in part),
-                                    slack + rest)
+                    out = self.keep(self.join(c1, c2)
+                                    for c1 in out for c2 in part)
             return out
         if t is And:
-            return self.keep(
-                [c for a in g.args for c in self.cnf(a, slack)], slack)
+            return self.keep([c for a in g.args for c in self.cnf(a)])
         if t is Not:
             return self.literal(False, g.arg)
         if t is Atom or t is Eq:
@@ -375,36 +294,30 @@ class _Products:
             return [((), 0)]
         raise PreprocessError(f"unexpected node in CNF matrix: {g!r}")
 
-    def keep(self, clauses, slack):
-        """The clauses, in order, without None and repeated literal sets.
+    def keep(self, clauses):
+        """The clauses, in order, without None and without each clause D
+        whose literals include all the literals of an earlier kept clause
+        C with the same x!=t literals with a variable side.
 
-        With subsume, a clause D is dropped too when an earlier kept
-        clause C has a subset of its literals and the same x!=t literals
-        with a variable side, and D, with the slack literals an enclosing
-        Or adds, cannot pass SUBSUMPTION_SIZE_CAP.  Each final clause made
-        from D then has one made from C earlier (or one with C's literals
-        up to variable names), and simplify_clausal removes it in its
-        first round: equality resolution applies the same substitution to
-        both (see _resolved_apart), unit resolution shortens both alike
-        unless units clash (see _clausify), and subsumes matches C onto D
-        literal for literal.  Kept clauses are filed under their x!=t
-        literals and their newest literal, which D must have too, so D is
-        compared only with the clauses in its own literals' buckets."""
-        out, seen, index = [], set(), {}
-        deadline, subsume = self.deadline, self.subsume
+        C implies D, and every clause an enclosing Or makes from D has
+        one made from C with a subset of its literals (if that one is a
+        tautology, so is D's), so the final clauses stay equivalent.  The
+        x!=t condition keeps a clause that equality resolution could make
+        stronger than C: p(x) ; p(a) ; x!=a becomes p(a), which implies
+        p(x) ; p(a).  Kept clauses are filed under their x!=t literals and
+        their newest literal, which D must have too, so D is compared only
+        with the clauses in its own literals' buckets."""
+        out, index = [], {}
+        deadline, veqs = self.deadline, self.veqs
         for c in clauses:
             check_deadline(deadline, "clausification")
-            if c is None or c[1] in seen:
+            if c is None:
                 continue
             ids, m = c
-            seen.add(m)
-            if subsume:
-                v = m & self.veqs   # veqs grows while clauses is consumed
-                if index and len(ids) + slack <= SUBSUMPTION_SIZE_CAP and any(
-                        not k & ~m
-                        for i in ids for k in index.get((v, i), ())):
-                    continue
-                index.setdefault((v, m.bit_length() - 1), []).append(m)
+            v = m & veqs
+            if any(not k & ~m for i in ids for k in index.get((v, i), ())):
+                continue
+            index.setdefault((v, m.bit_length() - 1), []).append(m)
             out.append(c)
         return out
 
@@ -818,7 +731,7 @@ def pipeline_c6(f: Formula) -> Formula:
     if not is_first_order(f):
         raise PreprocessError("pipeline c6 requires a first-order formula")
     try:
-        return unskolemize(clausify_simplified(f))
+        return unskolemize(simplify_clausal(clausify(f)))
     except UnskolemizeError:
         return f
 

@@ -33,7 +33,7 @@ from .formula import (
 )
 from .preprocess import (
     Clause, DeadlineExceeded, clause_terms, clause_vars, clausify,
-    clausify_simplified, match_lit, pred_key,
+    match_lit, pred_key, simplify_clausal,
 )
 
 
@@ -479,7 +479,7 @@ def side_clauses(left, right) -> list:
 
 def _refute(left, right, config: ProverConfig, simplified=False):
     """Refute the left and right formulas together, all within
-    config.timeout_ms: clausify each of them (with clausify_simplified if
+    config.timeout_ms: clausify each of them (and simplify its clauses if
     simplified) under one Context, then search the side-labeled clauses
     with the time left.  Returns the ProofResult and the clause lists of
     the two sides, or the failed result and None, None when
@@ -489,10 +489,13 @@ def _refute(left, right, config: ProverConfig, simplified=False):
     ctx = Context()
     for f in left + right:
         ctx.reserve_formula(f)
-    form = clausify_simplified if simplified else clausify
+
+    def clauses(f):
+        cf = clausify(f, ctx, deadline)
+        return (simplify_clausal(cf, deadline) if simplified else cf).clauses
+
     try:
-        sides = [[c for f in fs for c in form(f, ctx, deadline).clauses]
-                 for fs in (left, right)]
+        sides = [[c for f in fs for c in clauses(f)] for fs in (left, right)]
     except DeadlineExceeded as e:
         return ProofResult(False, elapsed_ms=(time.monotonic() - t0) * 1000,
                            reason=str(e)), None, None
@@ -665,9 +668,17 @@ class ValidationResult:
 def validate(f: Formula, config: ProverConfig | None = None,
              model_size: int = 3) -> ValidationResult:
     """Three-valued validity check: quick countermodel search within
-    model_share of config.timeout_ms, then proof search within the rest."""
+    model_share of config.timeout_ms, then proof search within the rest.
+    Second-order quantifiers are first reduced by reduce_so_universal;
+    input it cannot reduce is 'unknown', with the reason in the proof."""
     if config is None:
         config = ProverConfig()
+    if not is_first_order(f):
+        try:
+            f = reduce_so_universal(f)
+        except ProverError as e:
+            r = ProofResult(False, reason=str(e))
+            return ValidationResult("unknown", proof=r)
     share = model_share(config.timeout_ms)
     m = find_countermodel(f, max_size=model_size, timeout_ms=share)
     if m is not None:

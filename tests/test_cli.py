@@ -2,6 +2,8 @@
 
 import os
 
+import pytest
+
 from pie.cli import main
 from pie.formula import Occ, free_symbols
 from pie.syntax import parse_formula
@@ -112,3 +114,13 @@ def test_deep_nesting_is_usage_error(capsys):
     code, out, err = run(capsys, "valid", chain)
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["valid", "ex2(p,p)"], "failed to validate"),
+    (["valid", "lambda(x,p(x))"], "failed to validate"),
+    (["ipol", "q -> ex2(p,p)"], "interpolation failed (failed)"),
+], ids=["valid-ex2", "valid-lambda", "ipol-ex2"])
+def test_irreducible_second_order_input_is_a_failure(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and (out + err).strip() == line

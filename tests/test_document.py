@@ -5,10 +5,11 @@ import os
 import pytest
 
 from pie.document import (
-    ConfigDefault, Directive, DocumentError, LatexFragment,
+    TOO_DEEP, ConfigDefault, Directive, DocumentError, LatexFragment,
     MacroDefStatement, ProcessingContext, load_document, process_document,
     process_file, run_directive,
 )
+from pie.formula import Atom, Implies
 from pie.syntax import ParseError
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures",
@@ -124,6 +125,40 @@ def test_directive_failure_is_reported_not_raised():
     r, _ = run_one(":- ppl_printtime(ppl_ipol(p)).\n")
     assert r.status == "failed"
     assert "interpolation needs" in r.text
+
+
+def test_irreducible_second_order_directives_fail_alone():
+    doc, table = load_document(
+        ":- ppl_printtime(ppl_valid(ex2(p,p))).\n"
+        ":- ppl_printtime(ppl_ipol((q -> ex2(p,p)))).\n"
+        ":- ppl_printtime(ppl_valid((p ; ~p))).\n")
+    lines = process_document(doc, table).splitlines()
+    assert [l for l in lines if not l.startswith("\\noindent")] == [
+        "failed to validate.", "", "interpolation failed (failed).", "",
+        "is valid."]
+
+
+VALID_P = ":- ppl_printtime(ppl_valid((p ; ~p))).\n"
+VALID_P_TEXT = ("\\noindent $\\mathsf{p} \\lor \\lnot \\mathsf{p}$\\\\\n"
+                "is valid.")
+
+
+def test_directive_too_deep_to_parse_fails_alone():
+    chain = " -> ".join(f"p{i}" for i in range(1000))
+    doc, table = load_document(
+        f"{VALID_P}:- ppl_printtime(ppl_valid(({chain}))).\n/*after*/\n")
+    assert process_document(doc, table).split("\n\n") == [
+        VALID_P_TEXT, TOO_DEEP, "after\n"]
+
+
+def test_directive_too_deep_to_run_fails_alone():
+    f = Atom("p0")
+    for i in range(1, 5000):
+        f = Implies(Atom(f"p{i}"), f)
+    doc, table = load_document(VALID_P + "/*after*/\n")
+    doc.items.insert(1, Directive("valid", f, {}, ""))
+    assert process_document(doc, table).split("\n\n") == [
+        VALID_P_TEXT, TOO_DEEP, "after\n"]
 
 
 def test_timeout_option_flows_into_elim():

@@ -138,6 +138,12 @@ def test_second_order_definiens_input():
 # ---------------------------------------------------------------------------
 # Symmetric interpolation
 
+def test_irreducible_second_order_input_fails():
+    out = ipol("q", "ex2(p, p)")
+    assert out.status == "failed"
+    assert out.proof.reason.startswith("irreducible")
+
+
 def test_symmetric_interpolation():
     parts = [parse_formula("p, s"), parse_formula("~p ; q"),
              parse_formula("~q")]

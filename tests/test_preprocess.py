@@ -10,16 +10,15 @@ from pie.formula import (
     map_children, neg, nnf,
 )
 from pie.preprocess import (
-    Clause, SUBSUMPTION_SIZE_CAP, UnskolemizeError, _clause_key, _cnf,
-    _drop_subsumed, _features, _mk_clause, clausify, clausify_simplified,
-    clauses_to_formula, lit_subst, pipeline_c6, pipeline_d6,
-    simplify_clausal, subsumes, unskolemize,
+    Clause, SUBSUMPTION_SIZE_CAP, UnskolemizeError, _cnf, _drop_subsumed,
+    _features, clausify, clauses_to_formula, lit_subst, pipeline_c6,
+    pipeline_d6, simplify_clausal, subsumes, unskolemize,
 )
 from pie.syntax import parse_formula, print_text
 
 from oracles import (
-    eval_clauses, fo_equivalent, prop_atoms, prop_corpus, truth_table,
-    eval_prop,
+    eval_clauses, fo_equivalent, prop_atoms, prop_corpus, prop_equivalent,
+    truth_table, eval_prop,
 )
 
 
@@ -210,19 +209,16 @@ def test_drop_subsumed_keeps_first_of_mutual_subsumers():
 
 
 # ---------------------------------------------------------------------------
-# clausify_simplified: the subsumed product clauses are never built
-
-def simplified_both_ways(f):
-    """clausify_simplified(f) and the clausify + simplify_clausal it
-    stands for, as clause lists."""
-    return (clausify_simplified(f).clauses,
-            simplify_clausal(clausify(f)).clauses)
-
+# _cnf: product clauses that an earlier clause implies are never built
 
 def test_cnf_drops_tautologies_repeats_and_duplicates():
     g = parse_formula("(p ; q ; p ; ~(a=a)), (q ; p), (r ; ~r), (b=b ; s),"
                       " (a=b ; ~(b=a) ; s)")
     assert _cnf(g) == [((True, Atom("p")), (True, Atom("q")))]
+
+
+def test_cnf_leaves_out_clauses_with_an_earlier_clause_s_literals():
+    assert _cnf(parse_formula("p, (p ; q)")) == [((True, Atom("p")),)]
 
 
 def all_products(g):
@@ -246,52 +242,26 @@ def strip_quantifiers(f):
     return map_children(f, strip_quantifiers)
 
 
-def distinct_clauses(lists):
-    """The clauses clausify makes from literal lists."""
-    seen, out = set(), []
-    for lits in lists:
-        c = _mk_clause(lits)
-        if c is not None and _clause_key(c) not in seen:
-            seen.add(_clause_key(c))
-            out.append(c)
-    return out
+def literal_set(lits):
+    """The literals as a set, a=b and b=a as one and t!=t left out, or
+    None for a tautology (t=t or a complementary pair)."""
+    out = set()
+    for s, a in lits:
+        key = frozenset((a.lhs, a.rhs)) if isinstance(a, Eq) else a
+        if isinstance(a, Eq) and a.lhs == a.rhs:
+            if s:
+                return None
+            continue
+        if (not s, key) in out:
+            return None
+        out.add((s, key))
+    return frozenset(out)
 
 
-def test_cnf_subset_filter_is_off_by_default():
-    g = parse_formula("p, (p ; q)")
-    assert len(_cnf(g)) == 2
-    assert len(_cnf(g, subsume=True)) == 1
-
-
-# A unit whose complement is another unit: unit resolution shortens the
-# longer clause s ; r to r, which the unit s no longer subsumes, so the
-# clause may not be left out.
-UNIT_CLASH = "(s ; (s, (s ; r))), ~s"
-# Over the cap subsumes compares canonical keys only: the second clause
-# is kept, and clausify leaves out the third, a variant of it.
-WIDE = " ; ".join(f"l{i}" for i in range(SUBSUMPTION_SIZE_CAP))
-OVER_CAP = (f"all(x, (({WIDE} ; p(x)), ({WIDE} ; p(x) ; q(x)))), "
-            f"all(y, ({WIDE} ; p(y) ; q(y)))")
-# Equality resolution turns the second clause into the unit p(a), which
-# subsumes the first one.
-EQ_COLLAPSE = "all(x, ((p(x) ; p(a)), (p(x) ; p(a) ; ~(x = a))))"
-# x!=f(y) and x!=y share x, so equality resolution gives clauses that
-# differ with the order of a clause's literals, and clausify keeps only
-# the first order of each literal set.
-SHARED_VAR = ("all([x,y], ((~x=f(y), q, r(y) ; (~x=y ; ~y=y ; p(a,f(x))) ;"
-              " p(y,f(x))) ; ~x=f(y) ; ~x=y))")
-
-
-@pytest.mark.parametrize("src,lengths", [
-    (UNIT_CLASH, [1, 1, 1]),
-    (OVER_CAP, [SUBSUMPTION_SIZE_CAP + 1, SUBSUMPTION_SIZE_CAP + 2]),
-    (EQ_COLLAPSE, [1]),
-    (SHARED_VAR, [3, 4, 4]),
-])
-def test_clausify_simplified_keeps_what_simplification_keeps(src, lengths):
-    pruned, full = simplified_both_ways(parse_formula(src))
-    assert pruned == full
-    assert [len(c) for c in pruned] == lengths
+def var_diseqs(lits):
+    """The x!=t literals of a literal set that have a variable side."""
+    return {(s, key) for s, key in lits if not s and isinstance(key, frozenset)
+            and any(isinstance(t, Var) for t in key)}
 
 
 # Random formulas with variables, constants, a function, equalities,
@@ -319,14 +289,52 @@ FORMULAS = st.recursive(
 @settings(deadline=None, max_examples=200)
 def test_cnf_makes_the_clauses_of_all_products(f):
     g = nnf(strip_quantifiers(f))
-    assert distinct_clauses(_cnf(g)) == distinct_clauses(all_products(g))
+    products = {literal_set(c) for c in all_products(g)} - {None}
+    clauses = _cnf(g)
+    made = [literal_set(c) for c in clauses]
+    for c, lits in zip(clauses, made):
+        assert lits in products and len(lits) == len(c)
+    for p in products:
+        assert any(c <= p and var_diseqs(c) == var_diseqs(p) for c in made)
 
 
-@given(FORMULAS)
-@settings(deadline=None, max_examples=400)
-def test_clausify_simplified_matches_clausify_then_simplify(f):
-    pruned, full = simplified_both_ways(f)
-    assert pruned == full, print_text(f)
+# A unit whose complement is another unit: the result is contradictory
+# like its input.
+UNIT_CLASH = "(s ; (s, (s ; r))), ~s"
+# Over the cap subsumes compares canonical keys only: clausify leaves out
+# the second clause, whose literals include the first one's, but keeps
+# the third, which has other variable names.
+WIDE = " ; ".join(f"l{i}" for i in range(SUBSUMPTION_SIZE_CAP))
+OVER_CAP = (f"all(x, (({WIDE} ; p(x)), ({WIDE} ; p(x) ; q(x)))), "
+            f"all(y, ({WIDE} ; p(y) ; q(y)))")
+# Equality resolution turns the second clause into the unit p(a), which
+# subsumes the first one.  clausify must keep the second clause although
+# its literals include the first one's: without it the result would be
+# the weaker all(x, (p(x) ; p(a))).
+EQ_COLLAPSE = "all(x, ((p(x) ; p(a)), (p(x) ; p(a) ; ~(x = a))))"
+# x!=f(y) and x!=y share x, so equality resolution gives clauses that
+# differ with the order of a clause's literals.
+SHARED_VAR = ("all([x,y], ((~x=f(y), q, r(y) ; (~x=y ; ~y=y ; p(a,f(x))) ;"
+              " p(y,f(x))) ; ~x=f(y) ; ~x=y))")
+
+
+@pytest.mark.parametrize("src,lengths", [
+    (UNIT_CLASH, [1, 1]),
+    (OVER_CAP, [SUBSUMPTION_SIZE_CAP + 1, SUBSUMPTION_SIZE_CAP + 2]),
+    (EQ_COLLAPSE, [1]),
+    (SHARED_VAR, [3]),
+])
+def test_clausify_simplified_keeps_what_simplification_keeps(src, lengths):
+    # simplify_clausal(clausify(f)) is the form elimination, c6 and
+    # interpolation use
+    f = parse_formula(src)
+    cf = simplify_clausal(clausify(f))
+    assert [len(c) for c in cf.clauses] == lengths
+    g = clauses_to_formula(cf)
+    if src == UNIT_CLASH:
+        assert prop_equivalent(f, g)
+    else:
+        assert fo_equivalent(f, g), print_text(g)
 
 
 # ---------------------------------------------------------------------------

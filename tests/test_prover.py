@@ -115,6 +115,15 @@ def test_validate_unknown_on_hard_formula():
     assert out.status == "unknown"
 
 
+@pytest.mark.parametrize("src", ["ex2(p, p)", "lambda(x, p(x))"])
+def test_validate_answers_unknown_on_irreducible_input(src):
+    # reduce_so_universal cannot reduce these; the reason says why
+    out = validate(parse_formula(src), FAST)
+    assert out.status == "unknown"
+    assert not out.proof.proved
+    assert out.proof.reason.startswith(("irreducible", "cannot reduce"))
+
+
 # ---------------------------------------------------------------------------
 # Second-order universal reduction
 
@@ -241,10 +250,16 @@ P45 = ("(all(x, ((f(x), all(y, ((g(y), h(x,y)) -> j(x,y)))) -> "
        "ex(x, (f(x), ~ex(y, (g(y), h(x,y)))))")
 
 
+P33 = ("all(x, ((p(a), (p(x) -> p(b))) -> p(c))) <-> "
+       "all(x, ((~p(a) ; p(x) ; p(c)), (~p(a) ; ~p(b) ; p(c))))")
+
+
 @pytest.mark.parametrize("src, most", [
     (P45, 585),
     (PINNED["dnf-3"]["formula"], 616),
-], ids=["pelletier-45", "dnf-3"])
+    (PINNED["pelletier-17"]["formula"], 111),
+    (P33, 129),
+], ids=["pelletier-45", "dnf-3", "pelletier-17", "pelletier-33"])
 def test_inference_counts_do_not_grow(src, most):
     # a machine-independent guard against a slower search
     r = prove(parse_formula(src), ProverConfig(timeout_ms=20000))
@@ -255,8 +270,7 @@ def test_inference_counts_do_not_grow(src, most):
 @pytest.mark.parametrize("src", [
     PINNED["pelletier-19"]["formula"],
     PINNED["pelletier-20"]["formula"],
-    "all(x, ((p(a), (p(x) -> p(b))) -> p(c))) <-> "
-    "all(x, ((~p(a) ; p(x) ; p(c)), (~p(a) ; ~p(b) ; p(c))))",
+    P33,
 ], ids=["pelletier-19", "pelletier-20", "pelletier-33"])
 def test_unconnectable_clauses_cost_nothing(src):
     # Clauses over fresh predicates can never connect to the problem's
