@@ -289,13 +289,17 @@ def _parse_option_value(p: Parser):
 # ---------------------------------------------------------------------------
 # Loading
 
-# the LaTeX of a directive nested too deeply for the recursion limit
+# the LaTeX of a directive or a definition nested too deeply for the
+# recursion limit
 TOO_DEEP = "\\noindent Directive failed: input nested too deeply."
+DEF_TOO_DEEP = "\\noindent Definition failed: input nested too deeply."
 
 
 def load_document(src: str):
     """Parse a PIE document into items and its macro table.  A directive
-    nested too deeply to parse becomes the fragment TOO_DEEP."""
+    nested too deeply to parse becomes the fragment TOO_DEEP, and a
+    definition nested too deeply to parse or define becomes DEF_TOO_DEEP
+    and defines nothing."""
     items = []
     table = MacroTable()
     for kind, text in _scan_statements(src):
@@ -309,8 +313,12 @@ def load_document(src: str):
                 items.append(LatexFragment(TOO_DEEP))
             continue
         if text.startswith("def"):
-            mdef = _parse_def(text)
-            table = define_macro(table, mdef)
+            try:
+                mdef = _parse_def(text)
+                table = define_macro(table, mdef)
+            except RecursionError:
+                items.append(LatexFragment(DEF_TOO_DEEP))
+                continue
             items.append(MacroDefStatement(mdef, text))
             continue
         raise DocumentError(f"cannot classify statement: {text[:60]!r}")

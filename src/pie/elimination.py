@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 from .formula import (
     And, Atom, Context, Eq, Exists, Exists2, FALSE, Falsity, ForAll, ForAll2,
-    Formula, Iff, Implies, Lambda, LambdaApp, MacroCall, Not, Or, PredSpec,
-    TRUE, Truth, Var, all_names, beta_reduce, conj, disj, exists, forall,
-    free_symbols, free_vars, is_first_order, map_children, neg, nnf,
-    predicate_arities, subst_in_term, subst_vars, substitute_predicate,
+    Formula, FormulaError, Iff, Implies, Lambda, LambdaApp, MacroCall, Not,
+    Or, PredSpec, TRUE, Truth, Var, all_names, beta_reduce, conj, disj,
+    exists, forall, free_symbols, free_vars, is_first_order, map_children,
+    neg, nnf, predicate_arities, subst_in_term, subst_vars,
+    substitute_predicate,
 )
 from .preprocess import (
     Clause, DeadlineExceeded, PIPELINES, check_deadline, clause_subst,
@@ -353,7 +354,10 @@ def _elim(f, ctx, task, deadline):
             reserved = False
         return body
     if isinstance(f, ForAll2):
-        dual = Exists2(f.preds, nnf(neg(f.body)))
+        try:
+            dual = Exists2(f.preds, nnf(neg(f.body)))
+        except FormulaError as e:   # a lambda or a macro call in the body
+            raise EliminationError(str(e))
         out = _elim(dual, ctx, task, deadline)
         return nnf(neg(out))
     if isinstance(f, LambdaApp):

@@ -304,20 +304,25 @@ class _Products:
         tautology, so is D's), so the final clauses stay equivalent.  The
         x!=t condition keeps a clause that equality resolution could make
         stronger than C: p(x) ; p(a) ; x!=a becomes p(a), which implies
-        p(x) ; p(a).  Kept clauses are filed under their x!=t literals and
-        their newest literal, which D must have too, so D is compared only
-        with the clauses in its own literals' buckets."""
-        out, index = [], {}
+        p(x) ; p(a).  A kept C whose literals D includes is either D itself,
+        found in a set, or shorter than D.  So kept clauses are filed under
+        their x!=t literals, their newest literal and their size, and D is
+        compared only with the shorter clauses in its own literals'
+        buckets."""
+        out, index, kept, sizes = [], {}, set(), set()
         deadline, veqs = self.deadline, self.veqs
         for c in clauses:
             check_deadline(deadline, "clausification")
-            if c is None:
+            if c is None or c[1] in kept:
                 continue
             ids, m = c
-            v = m & veqs
-            if any(not k & ~m for i in ids for k in index.get((v, i), ())):
+            v, n = m & veqs, len(ids)
+            if any(not k & ~m for s in sizes if s < n for i in ids
+                   for k in index.get((v, i, s), ())):
                 continue
-            index.setdefault((v, m.bit_length() - 1), []).append(m)
+            index.setdefault((v, m.bit_length() - 1, n), []).append(m)
+            kept.add(m)
+            sizes.add(n)
             out.append(c)
         return out
 

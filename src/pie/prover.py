@@ -8,11 +8,14 @@ clause (or making every atom true would satisfy it), and a connection
 tableau for it can start from any of its clauses (Loveland 1978; Letz
 et al. 1992).  A connection index, built once per search, lists for each
 sign and predicate the input literals a goal can connect to; an
-extension renames a clause only when its literal has the goal's
-predicate and no function symbol that clashes with the goal, and a
-clause without variables is not renamed at all.  Each tableau node keeps
-its predicate key, so reduction and regularity look only at ancestors
-with the goal's predicate.
+extension tries a clause only when its literal has the goal's predicate
+and no function symbol that clashes with the goal.  The search shares
+structure (Boyer & Moore 1972): a clause is compiled once, when first
+used, with its variables numbered, and an instance of it is the compiled
+clause read at a fresh integer base, so an extension allocates one small
+search node per literal and no terms.  The tableau is built once, for
+the proof found, and grounded as it is built.  Reduction and regularity
+look only at ancestors with the goal's predicate.
 Clauses carry a side label (left/right) that the interpolation module
 reads off the closed tableau.  Equality is handled by adding the
 standard axioms when '=' occurs in the input.
@@ -28,11 +31,11 @@ from .formula import (
     And, Atom, Context, Eq, Exists, Exists2, Falsity, Fn, ForAll, ForAll2,
     Formula, Iff, Implies, Lambda, LambdaApp, MacroCall, Not, Or, PredSpec,
     Truth, Var, atom_terms, free_symbols, free_vars, is_first_order,
-    map_atom, map_children, map_term, neg, predicate_arities,
+    map_children, neg, predicate_arities,
     substitute_predicate,
 )
 from .preprocess import (
-    Clause, DeadlineExceeded, clause_terms, clause_vars, clausify,
+    Clause, DeadlineExceeded, clause_terms, clausify,
     match_lit, pred_key, simplify_clausal,
 )
 
@@ -90,72 +93,100 @@ class ProofResult:
 
 
 # ---------------------------------------------------------------------------
-# Unification on renamed clause variables
+# Compiled clauses and unification by structure sharing
+#
+# A compiled term is an int, the number of a variable within its clause,
+# or a tuple (functor, arg, ...).  An instance of a compiled clause is
+# the clause read at an int base: its variable v is the search variable
+# v + base.  A binding maps a search variable to a (term, base) pair, so
+# renaming a clause costs nothing (Boyer & Moore 1972).
 
-def _rename_clause(c: Clause, counter: list):
-    counter[0] += 1
-    tag = counter[0]
-    cache = {}
-
-    def leaf(t):
-        if isinstance(t, Var):
-            if t.name not in cache:
-                cache[t.name] = Var(f"_{tag}_{t.name}")
-            return cache[t.name]
-        return None
-
-    return [(s, map_atom(a, leaf)) for s, a in c.literals]
-
-
-def _deref(t, env):
-    while isinstance(t, Var) and t.name in env:
-        t = env[t.name]
-    return t
-
-
-def _occurs(name, t, env):
-    t = _deref(t, env)
+def _compile_term(t, num):
     if isinstance(t, Var):
-        return t.name == name
-    return any(_occurs(name, a, env) for a in t.args)
+        return num.setdefault(t.name, len(num))
+    return (t.functor, *(_compile_term(a, num) for a in t.args))
 
 
-def _unify(a, b, env, trail):
-    a = _deref(a, env)
-    b = _deref(b, env)
-    if isinstance(a, Var):
-        if isinstance(b, Var) and b.name == a.name:
+def _compile(cl: Clause):
+    """cl as (number of variables, [(sign, predicate key, args)])."""
+    num = {}
+    lits = [(s, pred_key(a),
+             tuple(_compile_term(t, num) for t in atom_terms(a)))
+            for s, a in cl.literals]
+    return len(num), lits
+
+
+def _deref(t, b, env):
+    """What t read at base b stands for under env: a (term, base) pair,
+    or (search variable, 0) for an unbound variable."""
+    while type(t) is int:
+        v = t + b
+        if v not in env:
+            return v, 0
+        t, b = env[v]
+    return t, b
+
+
+def _occurs(v, t, b, env):
+    t, b = _deref(t, b, env)
+    if type(t) is int:
+        return t == v
+    return any(_occurs(v, a, b, env) for a in t[1:])
+
+
+def _unify(a, ab, b, bb, env, trail):
+    a, ab = _deref(a, ab, env)
+    b, bb = _deref(b, bb, env)
+    if type(a) is int:
+        if a == b and type(b) is int:
             return True
-        if _occurs(a.name, b, env):
+        if _occurs(a, b, bb, env):
             return False
-        env[a.name] = b
-        trail.append(a.name)
+        env[a] = (b, bb)
+        trail.append(a)
         return True
-    if isinstance(b, Var):
-        return _unify(b, a, env, trail)
-    if a.functor != b.functor or len(a.args) != len(b.args):
+    if type(b) is int:
+        return _unify(b, bb, a, ab, env, trail)
+    if a[0] != b[0] or len(a) != len(b):
         return False
-    return all(_unify(x, y, env, trail) for x, y in zip(a.args, b.args))
+    return _unify_args(a[1:], ab, b[1:], bb, env, trail)
 
 
-def _unify_atoms(a, b, env, trail):
-    """Unify two atoms with the same pred_key."""
-    return all(_unify(x, y, env, trail)
-               for x, y in zip(atom_terms(a), atom_terms(b)))
+def _unify_args(xs, xb, ys, yb, env, trail):
+    for x, y in zip(xs, ys):
+        if not _unify(x, xb, y, yb, env, trail):
+            return False
+    return True
 
 
-def _clash(pats, ts, env):
+def _equal(xs, xb, ys, yb, env):
+    """Whether the argument tuples xs at xb and ys at yb are equal under
+    env, unbound variables only to themselves."""
+    for x, y in zip(xs, ys):
+        x, b = _deref(x, xb, env)
+        y, c = _deref(y, yb, env)
+        if type(x) is int or type(y) is int:
+            if x != y:
+                return False
+        elif x[0] != y[0] or len(x) != len(y) \
+                or not _equal(x[1:], b, y[1:], c, env):
+            return False
+    return True
+
+
+def _clash(pats, ts, b, env):
     """Whether the terms pats of an input clause, read with their
-    variables as wildcards, fail to match the terms ts under env in some
-    function symbol: then no renaming of the clause unifies with ts."""
+    variables as wildcards, fail to match the compiled terms ts at base
+    b under env in some function symbol: then no instance of the clause
+    unifies with ts."""
     for p, t in zip(pats, ts):
         if isinstance(p, Var):
             continue
-        t = _deref(t, env)
-        if isinstance(t, Var):
+        t, tb = _deref(t, b, env)
+        if type(t) is int:
             continue
-        if p.functor != t.functor or len(p.args) != len(t.args) \
-                or _clash(p.args, t.args, env):
+        if p.functor != t[0] or len(p.args) != len(t) - 1 \
+                or _clash(p.args, t[1:], tb, env):
             return True
     return False
 
@@ -166,20 +197,18 @@ def _clash(pats, ts, env):
 def equality_axioms(clauses):
     """Reflexivity, symmetry, transitivity, and congruence clauses for
     the symbols occurring in the clause list."""
+    if not any(isinstance(a, Eq) for c, _side in clauses
+               for _, a in c.literals):
+        return []
     preds = {}
     funs = {}
-    uses_eq = False
     for c, _side in clauses:
         for _, a in c.literals:
-            if isinstance(a, Eq):
-                uses_eq = True
-            else:
+            if not isinstance(a, Eq):
                 preds.setdefault(a.pred, len(a.args))
         for t in clause_terms(c):
             if isinstance(t, Fn) and t.args:
                 funs.setdefault(t.functor, len(t.args))
-    if not uses_eq:
-        return []
     x, y, z = Var("x"), Var("y"), Var("z")
     out = [
         Clause(((True, Eq(x, x)),)),
@@ -204,8 +233,26 @@ def equality_axioms(clauses):
     return out
 
 
+
 # ---------------------------------------------------------------------------
 # Tableau search
+
+GROUND_PREFIX = "c_"
+
+
+class _Node:
+    """A literal of a clause instance in the search: its compiled
+    (sign, predicate key, args), its base, its input clause, and, once it
+    is closed, its children or the ancestor that closes it."""
+    __slots__ = ("lit", "base", "idx", "children", "closed_by")
+
+    def __init__(self, lit, base, idx):
+        self.lit = lit
+        self.base = base
+        self.idx = idx
+        self.children = ()
+        self.closed_by = None
+
 
 class _Search:
     def __init__(self, clauses, config):
@@ -213,13 +260,12 @@ class _Search:
         self.config = config
         self.env = {}
         self.trail = []
-        self.counter = [0]
+        self.top = 0                    # the next instance's base
         self.inferences = 0
         self.deadline = time.monotonic() + config.timeout_ms / 1000.0
-        # clause index -> (no variables?, the literals' predicate keys),
-        # made when the clause is first used: most clauses of a large
-        # input never are
-        self.shapes = {}
+        # clause index -> _compile of the clause, made when the clause is
+        # first used: most clauses of a large input never are
+        self.compiled = {}
         # (sign, predicate key) -> [(clause index, literal index, terms)],
         # in clause order: the only input literals a goal can connect to
         self.index = {}
@@ -240,56 +286,59 @@ class _Search:
         while len(self.trail) > mark:
             del self.env[self.trail.pop()]
 
+    def clause(self, idx):
+        c = self.compiled.get(idx)
+        if c is None:
+            c = self.compiled[idx] = _compile(self.clauses[idx][0])
+        return c
+
     def instance(self, idx):
-        """Tableau nodes for the literals of a fresh instance of input
-        clause idx; a clause without variables is its own instance."""
-        cl, side = self.clauses[idx]
-        shape = self.shapes.get(idx)
-        if shape is None:
-            shape = self.shapes[idx] = (
-                not clause_vars(cl), [pred_key(a) for _, a in cl.literals])
-        ground, keys = shape
-        lits = cl.literals if ground else _rename_clause(cl, self.counter)
-        return [TableauNode(l, side, clause_index=idx, pred_key=k)
-                for l, k in zip(lits, keys)]
+        """Search nodes for the literals of a fresh instance of input
+        clause idx: the clause read at the base self.top."""
+        nvars, lits = self.clause(idx)
+        base = self.top
+        self.top += nvars
+        return [_Node(lit, base, idx) for lit in lits]
 
     def solve(self, node, path, depth):
         """Yield once for every way to close the subtree at node."""
         self._tick()
-        sign, atom = node.literal
-        key = node.pred_key
+        env, trail = self.env, self.trail
+        sign, key, args = node.lit
+        base = node.base
         # regularity: an open goal equal to an ancestor literal is pruned
         for anc in path:
-            if anc.pred_key == key and anc.literal[0] == sign \
-                    and self._atoms_equal(anc.literal[1], atom):
+            s, k, a = anc.lit
+            if k == key and s == sign and _equal(a, anc.base, args, base,
+                                                 env):
                 return
         # reduction against the complement of an ancestor
         for anc in path:
-            if anc.pred_key == key and anc.literal[0] != sign:
-                mark = len(self.trail)
-                if _unify_atoms(anc.literal[1], atom, self.env, self.trail):
+            s, k, a = anc.lit
+            if k == key and s != sign:
+                mark = len(trail)
+                if _unify_args(a, anc.base, args, base, env, trail):
                     node.closed_by = anc
-                    node.children = []
+                    node.children = ()
                     yield True
                     node.closed_by = None
                 self._undo(mark)
         if depth <= 0:
             return
         # extension with an input clause whose literal can connect
-        terms = atom_terms(atom)
         for idx, i, pats in self.index.get((not sign, key), ()):
             self._tick()
-            if _clash(pats, terms, self.env):
+            if _clash(pats, args, base, env):
                 continue
-            mark = len(self.trail)
-            children = self.instance(idx)
-            if _unify_atoms(children[i].literal[1], atom, self.env,
-                            self.trail):
+            mark = len(trail)
+            lit = self.clause(idx)[1][i]
+            if _unify_args(lit[2], self.top, args, base, env, trail):
+                children = self.instance(idx)
                 children[i].closed_by = node
                 node.children = children
-                rest = [c for j, c in enumerate(children) if j != i]
-                yield from self.solve_all(rest, path + [node], depth - 1)
-                node.children = []
+                yield from self.solve_all(children[:i] + children[i + 1:],
+                                          path + [node], depth - 1)
+                node.children = ()
             self._undo(mark)
 
     def solve_all(self, goals, path, depth):
@@ -300,19 +349,35 @@ class _Search:
         for _ in self.solve(first, path, depth):
             yield from self.solve_all(rest, path, depth)
 
-    def _atoms_equal(self, a, b):
-        """Whether atoms with the same pred_key are equal under env."""
-        return all(self._teq(x, y)
-                   for x, y in zip(atom_terms(a), atom_terms(b)))
+    def tableau(self, idx, children):
+        """The closed tableau from start clause idx with the search nodes
+        children, instantiated with the final bindings; search variables
+        left unbound become fresh constants c_1, c_2, ... in pre-order."""
+        ground = {}
+        made = {}
 
-    def _teq(self, a, b):
-        a = _deref(a, self.env)
-        b = _deref(b, self.env)
-        if isinstance(a, Var) or isinstance(b, Var):
-            return isinstance(a, Var) and isinstance(b, Var) \
-                and a.name == b.name
-        return a.functor == b.functor and len(a.args) == len(b.args) \
-            and all(self._teq(x, y) for x, y in zip(a.args, b.args))
+        def term(t, b):
+            t, b = _deref(t, b, self.env)
+            if type(t) is int:
+                if t not in ground:
+                    ground[t] = Fn(f"{GROUND_PREFIX}{len(ground) + 1}")
+                return ground[t]
+            return Fn(t[0], tuple(term(a, b) for a in t[1:]))
+
+        def build(n):
+            sign, key, args = n.lit
+            ts = tuple(term(t, n.base) for t in args)
+            atom = Eq(*ts) if key == "=" else Atom(key[0], ts)
+            out = made[n] = TableauNode((sign, atom), self.clauses[n.idx][1],
+                                        clause_index=n.idx, pred_key=key)
+            if n.closed_by is not None:
+                out.closed_by = made[n.closed_by]
+            out.children = [build(c) for c in n.children]
+            return out
+
+        root = TableauNode(None, None, clause_index=idx)
+        root.children = [build(c) for c in children]
+        return root
 
 
 def _start_order(clauses):
@@ -346,13 +411,12 @@ def prove_clausal(clauses, config: ProverConfig | None = None
     try:
         for depth in range(1, config.max_depth + 1):
             for idx in order:
-                root = TableauNode(None, None, clause_index=idx)
-                root.children = search.instance(idx)
+                children = search.instance(idx)
                 try:
-                    next(search.solve_all(root.children, [], depth))
+                    next(search.solve_all(children, [], depth))
                 except StopIteration:
                     continue
-                _ground_tableau(root, search.env)
+                root = search.tableau(idx, children)
                 ms = (time.monotonic() - t0) * 1000
                 return ProofResult(True, root, depth, search.inferences,
                                    ms, "proved", clauses)
@@ -363,30 +427,6 @@ def prove_clausal(clauses, config: ProverConfig | None = None
     ms = (time.monotonic() - t0) * 1000
     return ProofResult(False, None, None, search.inferences, ms,
                        "depth bound exhausted", clauses)
-
-
-GROUND_PREFIX = "c_"
-
-
-def _ground_tableau(root, env):
-    """Instantiate the closed tableau with the final bindings; search
-    variables left unbound become fresh constants named c_*."""
-    ground = {}
-
-    def leaf(t):
-        if not isinstance(t, Var):
-            return None
-        t = _deref(t, env)
-        if not isinstance(t, Var):
-            return map_term(t, leaf)
-        if t.name not in ground:
-            ground[t.name] = Fn(f"{GROUND_PREFIX}{len(ground) + 1}")
-        return ground[t.name]
-
-    for n in root.nodes():
-        if n.literal is not None:
-            s, a = n.literal
-            n.literal = (s, map_atom(a, leaf))
 
 
 def check_tableau(root: TableauNode, clauses) -> bool:

@@ -1,8 +1,12 @@
 """Command-line interface: exit codes and output shapes."""
 
+import io
 import os
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pie.cli import main
 from pie.formula import Occ, free_symbols
@@ -124,3 +128,45 @@ def test_deep_nesting_is_usage_error(capsys):
 def test_irreducible_second_order_input_is_a_failure(capsys, argv, line):
     code, out, err = run(capsys, *argv)
     assert code == 1 and (out + err).strip() == line
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: every subcommand answers any input within its budget, with exit
+# code 0, 1 or 2 and no traceback
+
+_LEAVES = ["p", "q", "r(a)", "r(x)", "s(x,y)", "s(f(x),a)", "a=b",
+           "x=f(y)", "true", "false", "lambda(x, r(x))"]
+_TEXTS = st.recursive(
+    st.sampled_from(_LEAVES),
+    lambda sub: st.one_of(
+        sub.map(lambda f: f"~{f}"),
+        st.tuples(sub, st.sampled_from([",", ";", "->", "<->", "<-"]), sub)
+        .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["all", "ex", "all2", "ex2"]),
+                  st.sampled_from(["x", "[x,y]", "p", "r"]), sub)
+        .map(lambda t: f"{t[0]}({t[1]}, {t[2]})")),
+    max_leaves=8)
+_TOKENS = st.lists(st.sampled_from(
+    ["p", "q", "r", "x", "a", "f", "all", "ex2", "lambda", "(", ")", "[",
+     "]", ",", ";", "->", "<->", "~", "=", "::", ".", "'", "0", " "]),
+    max_size=14).map("".join)
+
+
+def test_elim_of_a_lambda_under_all2_is_a_reasoning_failure(capsys):
+    # found by the fuzz test below: nnf raised on the unapplied lambda
+    code, _, err = run(capsys, "elim", "all2(x, lambda(x, r(x)))")
+    assert code == 1 and "nonreducible" in err
+
+
+@given(st.sampled_from(["valid", "elim", "ipol", "expand", "tptp",
+                        "dimacs"]),
+       st.one_of(_TEXTS, _TOKENS))
+@settings(deadline=None, max_examples=150)
+def test_cli_answers_any_input_within_its_budget(cmd, text):
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.monotonic()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([cmd, text, "--timeout", "200"])
+    assert time.monotonic() - t0 < 1.2 * 0.2 + 0.05
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

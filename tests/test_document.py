@@ -5,9 +5,9 @@ import os
 import pytest
 
 from pie.document import (
-    TOO_DEEP, ConfigDefault, Directive, DocumentError, LatexFragment,
-    MacroDefStatement, ProcessingContext, load_document, process_document,
-    process_file, run_directive,
+    DEF_TOO_DEEP, TOO_DEEP, ConfigDefault, Directive, DocumentError,
+    LatexFragment, MacroDefStatement, ProcessingContext, load_document,
+    process_document, process_file, run_directive,
 )
 from pie.formula import Atom, Implies
 from pie.syntax import ParseError
@@ -149,6 +149,15 @@ def test_directive_too_deep_to_parse_fails_alone():
         f"{VALID_P}:- ppl_printtime(ppl_valid(({chain}))).\n/*after*/\n")
     assert process_document(doc, table).split("\n\n") == [
         VALID_P_TEXT, TOO_DEEP, "after\n"]
+
+
+def test_definition_too_deep_to_parse_fails_alone():
+    chain = " -> ".join(f"p{i}" for i in range(1000))
+    doc, table = load_document(
+        f"{VALID_P}def(big) :: {chain}.\n/*after*/\n")
+    assert process_document(doc, table).split("\n\n") == [
+        VALID_P_TEXT, DEF_TOO_DEEP, "after\n"]
+    assert not table.lookup("big", 0)
 
 
 def test_directive_too_deep_to_run_fails_alone():

@@ -1,6 +1,7 @@
 """Clausification, clausal simplification, and un-Skolemization."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +11,9 @@ from pie.formula import (
     map_children, neg, nnf,
 )
 from pie.preprocess import (
-    Clause, SUBSUMPTION_SIZE_CAP, UnskolemizeError, _cnf, _drop_subsumed,
-    _features, clausify, clauses_to_formula, lit_subst, pipeline_c6,
-    pipeline_d6, simplify_clausal, subsumes, unskolemize,
+    Clause, SUBSUMPTION_SIZE_CAP, UnskolemizeError, _Products, _cnf,
+    _drop_subsumed, _features, clausify, clauses_to_formula, lit_subst,
+    pipeline_c6, pipeline_d6, simplify_clausal, subsumes, unskolemize,
 )
 from pie.syntax import parse_formula, print_text
 
@@ -283,6 +284,30 @@ FORMULAS = st.recursive(
         st.builds(lambda v, g: Exists((v,), g), st.sampled_from("xy"), sub),
         sub.map(Not)),
     max_leaves=14)
+
+
+def _keep_reference(masks, veqs):
+    """The masks _Products.keep keeps, found by comparing each mask with
+    every mask kept before it."""
+    out = []
+    for m in masks:
+        if m is not None and not any(
+                k & veqs == m & veqs and not k & ~m for k in out):
+            out.append(m)
+    return out
+
+
+@given(st.lists(st.one_of(st.none(), st.integers(1, 2 ** 10 - 1)),
+                max_size=40),
+       st.integers(0, 2 ** 10 - 1))
+@settings(deadline=None, max_examples=300)
+def test_keep_matches_a_brute_force_reference(masks, veqs):
+    run = _Products(math.inf)
+    run.veqs = veqs
+    clauses = [None if m is None else
+               (tuple(i for i in range(10) if m >> i & 1), m) for m in masks]
+    kept = run.keep(clauses)
+    assert [m for _, m in kept] == _keep_reference(masks, veqs)
 
 
 @given(FORMULAS)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pie.formula import Atom, Context, Implies, Var, neg
+from pie.formula import Atom, Context, Fn, Implies, Var, map_atom, neg
 from pie.preprocess import Clause, clausify
 from pie.prover import (
     ProverConfig, check_tableau, find_countermodel, prove, prove_clausal,
@@ -220,9 +220,11 @@ def test_clausification_timeout_is_named(attempt):
 
 # ---------------------------------------------------------------------------
 # Pinned proofs, recorded when the search began to start only from
-# all-negative clauses: the connection index and the extension step's
-# shortcuts only skip work that cannot close a goal, so the search must
-# keep finding the same tableaux
+# all-negative clauses (the pins from pelletier-26 on were added before
+# the search came to share structure): the connection index, the
+# extension step's shortcuts and structure sharing only skip work that
+# cannot close a goal, so the search must keep finding the same tableaux
+# with the same number of inferences
 
 PINNED = json.loads(
     Path(__file__).with_name("pinned_proofs.json").read_text())
@@ -240,6 +242,7 @@ def test_pinned_proofs(name):
     r = prove(parse_formula(pin["formula"]), FAST)
     assert r.proved, r.reason
     assert r.depth == pin["depth"]
+    assert r.inferences == pin["inferences"]
     assert _preorder(r) == pin["tableau"]
 
 
@@ -328,6 +331,58 @@ def test_no_all_negative_clause_costs_nothing():
     r = prove_clausal(clauses, FAST)
     assert not r.proved
     assert r.inferences == 0
+
+
+def test_occurs_check_blocks_a_cyclic_unifier():
+    # p(X, f(X)) and ~p(Y, Y) unify only if X = f(X): satisfiable
+    x, y = Var("X"), Var("Y")
+    clauses = [(Clause(((True, Atom("p", (x, Fn("f", (x,))))),)), "left"),
+               (Clause(((False, Atom("p", (y, y))),)), "left")]
+    r = prove_clausal(clauses, FAST)
+    assert not r.proved
+    assert r.reason == "depth bound exhausted"
+
+
+# ---------------------------------------------------------------------------
+# Property: on random first-order clause sets every proof checks, and the
+# names of the input variables change neither the search nor the proof
+
+def _terms(depth):
+    leaves = st.one_of(st.sampled_from("XYZ").map(Var),
+                       st.sampled_from("ab").map(Fn))
+    if depth == 0:
+        return leaves
+    return st.one_of(leaves, _terms(depth - 1).map(lambda t: Fn("f", (t,))))
+
+
+_fo_literals = st.tuples(st.booleans(), st.one_of(
+    _terms(2).map(lambda t: Atom("p", (t,))),
+    st.tuples(_terms(1), _terms(1)).map(lambda ts: Atom("q", ts))))
+_fo_clause_sets = st.lists(st.lists(_fo_literals, min_size=1, max_size=3),
+                           min_size=1, max_size=6)
+
+
+@given(_fo_clause_sets)
+@settings(deadline=None, max_examples=100)
+def test_search_does_not_depend_on_variable_names(lit_lists):
+    config = ProverConfig(timeout_ms=60000, max_inferences=1000)
+
+    def run(name):
+        clauses = []
+        for k, lits in enumerate(lit_lists):
+            def leaf(t):
+                return Var(name(k, t.name)) if isinstance(t, Var) else None
+            clauses.append((Clause(tuple((s, map_atom(a, leaf))
+                                         for s, a in lits)), "left"))
+        return prove_clausal(clauses, config)
+
+    r = run(lambda k, v: v)
+    renamed = run(lambda k, v: f"{'ZXY'['XYZ'.index(v)]}{k % 2}")
+    assert (renamed.proved, renamed.reason, renamed.inferences,
+            renamed.depth) == (r.proved, r.reason, r.inferences, r.depth)
+    if r.proved:
+        assert check_tableau(r.tableau, r.clauses)
+        assert _preorder(renamed) == _preorder(r)
 
 
 # ---------------------------------------------------------------------------

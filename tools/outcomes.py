@@ -10,7 +10,9 @@ its judgement (kind and reason, as the benchmark judges it) and its
 signature: the values `workloads.py` compares between passes, with
 formulas written by `print_text` and models by `Model.describe`.  A
 `documents` operation has no signature; its LaTeX is recorded instead
-(the LaTeX holds no timings, so nothing needs masking).
+(the LaTeX holds no timings, so nothing needs masking).  A proof (a
+`theorems` operation) also records its tableau in pre-order, so a
+changed proof shows even when its counts do not.
 
 `diff` prints every operation whose record differs, field by field, and
 exits 1 if there is one.  To compare a change with its parent, record
@@ -29,7 +31,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
 from pie.formula import Formula  # noqa: E402
-from pie.prover import Model  # noqa: E402
+from pie.prover import Model, ProofResult  # noqa: E402
 from pie.syntax import print_text  # noqa: E402
 
 
@@ -42,6 +44,19 @@ def plain(x):
     if isinstance(x, (tuple, list)):
         return [plain(y) for y in x]
     return x
+
+
+def preorder(root):
+    """A closed tableau as one row per node in pre-order: sign, literal
+    text, side, the input clause it instantiates, and the pre-order
+    position of the ancestor that closes it (the root's row holds only
+    its start clause)."""
+    nodes = list(root.nodes())
+    pos = {id(n): i for i, n in enumerate(nodes)}
+    return [[None, None, None, n.clause_index, None] if n.literal is None
+            else [n.literal[0], print_text(n.literal[1]), n.side,
+                  n.clause_index, pos.get(id(n.closed_by))]
+            for n in nodes]
 
 
 def record(seeds):
@@ -59,8 +74,10 @@ def record(seeds):
                 kind, reason = op.judge(result)
                 sig = result if op.signature is None else \
                     op.signature(result)
-                out[f"{name}/{seed}/{op.name}"] = {
+                rec = out[f"{name}/{seed}/{op.name}"] = {
                     "judgement": [kind, reason], "signature": plain(sig)}
+                if isinstance(result, ProofResult) and result.tableau:
+                    rec["tableau"] = preorder(result.tableau)
     return out
 
 
