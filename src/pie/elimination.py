@@ -51,7 +51,6 @@ class EliminationTask:
 class EliminationOutcome:
     status: str                       # 'success' | 'nonreducible' | 'resources'
     result: Formula | None = None
-    residue: Formula | None = None
     reason: str = ""
 
 
@@ -283,7 +282,7 @@ def _eliminate_pred(p, body, ctx, task, deadline, reserved):
     g = body
     if task.pre:
         # the pipeline names its variables from a Context of its own
-        g = PIPELINES[task.pre](g)
+        g = PIPELINES[task.pre](g, deadline)
         reserved = False
     if not reserved:
         ctx.reserve_formula(g)
@@ -314,7 +313,7 @@ def _restore_quantifiers(f, skolems, ctx, deadline):
     # ctx made both records' Skolems fresh, so their names differ
     cf.skolems.update(skolems)
     try:
-        return unskolemize(cf, ctx)
+        return unskolemize(cf, ctx, deadline)
     except UnskolemizeError as e:
         raise _Nonreducible(f"cannot un-Skolemize result: {e}")
 
@@ -324,20 +323,20 @@ def _restore_quantifiers(f, skolems, ctx, deadline):
 
 def eliminate(task: EliminationTask) -> EliminationOutcome:
     """Eliminate all predicate quantifiers from task.formula within
-    task.timeout_ms; past it the outcome is 'resources'."""
+    task.timeout_ms, the pre and simp_result pipelines included; past it
+    the outcome is 'resources'."""
     deadline = time.monotonic() + task.timeout_ms / 1000.0
     f = task.formula
     ctx = Context()
     ctx.reserve_formula(f)
     try:
-        out = _elim(f, ctx, task, deadline)
+        out = truth_simplify(_elim(f, ctx, task, deadline))
+        if task.simp_result:
+            out = PIPELINES[task.simp_result](out, deadline)
     except DeadlineExceeded as e:
-        return EliminationOutcome("resources", residue=f, reason=str(e))
+        return EliminationOutcome("resources", reason=str(e))
     except EliminationError as e:
-        return EliminationOutcome("nonreducible", residue=f, reason=str(e))
-    out = truth_simplify(out)
-    if task.simp_result:
-        out = PIPELINES[task.simp_result](out)
+        return EliminationOutcome("nonreducible", reason=str(e))
     return EliminationOutcome("success", result=out)
 
 

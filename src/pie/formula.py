@@ -309,6 +309,15 @@ def map_atom(a, leaf):
 # ---------------------------------------------------------------------------
 # Fresh-symbol context
 
+def fresh_name(base, taken):
+    """base, or the first of base1, base2, ... that is not in taken."""
+    name, i = base, 0
+    while name in taken:
+        i += 1
+        name = f"{base}{i}"
+    return name
+
+
 class Context:
     """Monotone fresh-name source plus the last-result slot.
 
@@ -327,13 +336,7 @@ class Context:
         self.used.update(all_names(f))
 
     def _fresh(self, base):
-        if base not in self.used:
-            self.used.add(base)
-            return base
-        i = 1
-        while f"{base}{i}" in self.used:
-            i += 1
-        name = f"{base}{i}"
+        name = fresh_name(base, self.used)
         self.used.add(name)
         return name
 
@@ -526,12 +529,8 @@ def subst_vars(f: Formula, mapping: dict) -> Formula:
         new_names = []
         for n in names:
             if n in img_vars:
-                base, i = n, 1
-                fresh = f"{base}{i}"
-                taken = img_vars | set(names) | set(inner) | all_names(f.body)
-                while fresh in taken:
-                    i += 1
-                    fresh = f"{base}{i}"
+                fresh = fresh_name(n, img_vars | set(names) | set(inner)
+                                   | all_names(f.body))
                 ren[n] = Var(fresh)
                 new_names.append(fresh)
             else:
@@ -641,43 +640,6 @@ def _nnf(g, pos):
     if t is MacroCall:
         raise FormulaError("nnf on unexpanded macro call")
     raise FormulaError(f"nnf: unexpected node {g!r}")
-
-
-# ---------------------------------------------------------------------------
-# Bound-variable renaming
-
-def rename_bound(f: Formula) -> Formula:
-    """Alpha-rename so all bound variables are pairwise distinct and
-    distinct from free symbols.  f must be macro-free."""
-    taken = {o.name for o in free_symbols(f)}
-    assigned = set()
-
-    def pick(base):
-        if base not in taken and base not in assigned:
-            assigned.add(base)
-            return base
-        i = 1
-        while f"{base}{i}" in taken or f"{base}{i}" in assigned:
-            i += 1
-        name = f"{base}{i}"
-        assigned.add(name)
-        return name
-
-    def walk(g, env):
-        if isinstance(g, (Atom, Eq)):
-            return subst_vars(g, env)
-        if isinstance(g, (ForAll, Exists, Lambda)):
-            names = g.params if isinstance(g, Lambda) else g.vars
-            new = [pick(v) for v in names]
-            env2 = dict(env)
-            env2.update({v: Var(n) for v, n in zip(names, new)})
-            return type(g)(tuple(new), walk(g.body, env2))
-        if isinstance(g, LambdaApp):
-            return LambdaApp(walk(g.head, env),
-                             tuple(subst_in_term(a, env) for a in g.args))
-        return map_children(g, lambda h: walk(h, env))
-
-    return walk(f, {})
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,15 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import re
 import time
 from dataclasses import dataclass, field
 
 from .formula import (
     And, Atom, Context, Eq, Exists, FALSE, Falsity, Fn, ForAll, Formula,
     Implies, Not, Or, TRUE, Truth, Var, atom_terms, conj, disj, forall,
-    free_vars, free_vars_term, is_first_order, map_atom, neg, nnf,
-    rename_bound, subst_vars, subterms,
+    free_symbols, free_vars, free_vars_term, fresh_name, is_first_order,
+    map_atom, neg, nnf, subst_vars, subterms,
 )
 
 
@@ -39,6 +40,13 @@ def check_deadline(deadline, layer):
     deadline."""
     if time.monotonic() > deadline:
         raise DeadlineExceeded(f"{layer} timeout")
+
+
+def _checked(items, deadline, layer):
+    """The items, with check_deadline(deadline, layer) before each."""
+    for x in items:
+        check_deadline(deadline, layer)
+        yield x
 
 
 Literal = tuple  # (sign: bool, Atom | Eq)
@@ -127,37 +135,42 @@ def clausify(f: Formula, ctx: Context | None = None,
     CNF of its Skolemized matrix, without the product clauses that an
     earlier one implies (see _cnf).
 
-    The Skolem symbols are recorded so that unskolemize can invert the
-    Skolemization.  Fresh names avoid every name of f only when ctx is
-    None; a caller that passes a ctx reserves the names of f in it
-    first.  Tautologies, repeated literals and clauses that repeat an
-    earlier one up to variable names are left out.  Past the
-    time.monotonic() deadline it raises DeadlineExceeded."""
+    The universal closure of f is put in NNF and miniscoped; _skolemize
+    names each variable v as it drops v's quantifier: v itself, or, if
+    that is a free symbol of f or a variable that can share a clause
+    with v, the first free one of v1, v2, ...  The Skolem symbols are
+    recorded so that unskolemize can invert the Skolemization.  Fresh
+    Skolem names avoid every name of f only when ctx is None; a caller
+    that passes a ctx reserves the names of f in it first.  Tautologies,
+    repeated literals and clauses that repeat an earlier one up to
+    variable names are left out.  Past the time.monotonic() deadline it
+    raises DeadlineExceeded."""
     if not is_first_order(f):
         raise PreprocessError("clausify requires a first-order formula")
     if ctx is None:
         ctx = Context()
         ctx.reserve_formula(f)
-    fv = sorted(free_vars(f))
-    g = forall(fv, f)
-    g = miniscope(nnf(rename_bound(g)))
+    g = miniscope(nnf(forall(sorted(free_vars(f)), f)))
+    check_deadline(deadline, "clausification")
     cf = ClausalForm([])
-    matrix = _skolemize(g, [], cf, ctx)
+    taken = frozenset(o.name for o in free_symbols(g))
+    matrix, _ = _skolemize(g, {}, (), cf, ctx, taken)
     cf.clauses = _distinct(map(Clause, _cnf(matrix, deadline)), deadline)
     return cf
 
 
 def _distinct(clauses, deadline):
     """The clauses without those that repeat an earlier one up to
-    variable names; just the empty clause if there is one."""
+    variable names; just the empty clause if there is one.  Literals are
+    ordered by their repr less the variable names, so no name matters."""
     seen = set()
     out = []
-    reprs = {}      # id(literal) -> (literal, repr), the literal kept alive
+    reprs = {}      # id(literal) -> (literal, key), the literal kept alive
 
     def order(lit):     # clauses share their literal objects
         r = reprs.get(id(lit))
         if r is None:
-            r = reprs[id(lit)] = (lit, repr(lit))
+            r = reprs[id(lit)] = (lit, re.sub(r"Var\(\w+\)", "V", repr(lit)))
         return r[1]
 
     for c in clauses:
@@ -177,30 +190,46 @@ def pred_key(a):
     return "=" if isinstance(a, Eq) else (a.pred, len(a.args))
 
 
-def _skolemize(g, univ, cf, ctx):
-    if isinstance(g, ForAll):
-        return _skolemize(g.body, univ + list(g.vars), cf, ctx)
-    if isinstance(g, Exists):
-        return _skolemize(_skolem_body(g, univ, cf, ctx), univ, cf, ctx)
-    if isinstance(g, And):
-        return conj(_skolemize(a, univ, cf, ctx) for a in g.args)
-    if isinstance(g, Or):
-        return disj(_skolemize(a, univ, cf, ctx) for a in g.args)
-    return g
+def _skolemize(g, env, univ, cf, ctx, taken):
+    """The Skolemized matrix of the miniscoped NNF formula g, and taken
+    with the variable names it used.
 
-
-def _skolem_body(g: Exists, univ, cf, ctx):
-    """The body of g with each bound variable replaced by a fresh Skolem
-    term over the universal variables the body depends on; the Skolem
-    symbols are recorded in cf."""
-    fv = free_vars(g.body)
-    deps = tuple(u for u in univ if u in fv)
-    mapping = {}
-    for v in g.vars:
-        name = ctx.fresh_skolem()
-        cf.skolems[name] = (len(deps), deps)
-        mapping[v] = Fn(name, tuple(Var(d) for d in deps))
-    return subst_vars(g.body, mapping)
+    Each quantified variable v, an existential too, is named by
+    fresh_name(v, taken).  env maps a universal to the Var of its name,
+    an existential to a fresh Skolem term (recorded in cf) over the
+    universals of univ that occur in its body through env.  The
+    arguments of an Or take names one after the other, but every
+    conjunct of an And starts from the same taken: no clause mixes
+    literals of two conjuncts, and the copies of one quantifier that
+    miniscope makes get one name, so _Products.keep sees them alike."""
+    t = type(g)
+    if t is ForAll or t is Exists:
+        env = dict(env)
+        if t is Exists:
+            deps = set().union(*(free_vars_term(env[v]) for v in free_vars(g)))
+            args = tuple(Var(u) for u in univ if u in deps)
+        for v in g.vars:
+            name = fresh_name(v, taken)
+            taken = taken | {name}
+            if t is ForAll:
+                univ += (name,)
+                env[v] = Var(name)
+            else:
+                sk = ctx.fresh_skolem()
+                cf.skolems[sk] = (len(args), tuple(a.name for a in args))
+                env[v] = Fn(sk, args)
+        return _skolemize(g.body, env, univ, cf, ctx, taken)
+    if t is And:
+        parts = [_skolemize(a, env, univ, cf, ctx, taken) for a in g.args]
+        return (conj(p for p, _ in parts),
+                taken.union(*(names for _, names in parts)))
+    if t is Or:
+        parts = []
+        for a in g.args:
+            p, taken = _skolemize(a, env, univ, cf, ctx, taken)
+            parts.append(p)
+        return disj(parts), taken
+    return subst_vars(g, env), taken
 
 
 def _cnf(g, deadline=math.inf):
@@ -442,46 +471,35 @@ def simplify_clausal(cf: ClausalForm, deadline=math.inf) -> ClausalForm:
     """Fixpoint of tautology/duplicate/subsumption deletion, equality
     resolution and unit subsumption resolution; every step preserves
     equivalence.  Past the time.monotonic() deadline it raises
-    DeadlineExceeded."""
-    clauses = list(cf.clauses)
+    DeadlineExceeded.
+
+    Each clause is normalised once, first (_simplify_clause): deleting
+    literals from a normalised clause leaves it normalised, so the later
+    rounds only resolve away literals and drop subsumed clauses."""
+    layer = "clausal simplification"
+    clauses = [c for c in map(_simplify_clause,
+                              _checked(cf.clauses, deadline, layer))
+               if c is not None]
     changed = True
     while changed:
         changed = False
-        # per-clause normalization incl. equality resolution
-        out = []
-        for c in clauses:
-            check_deadline(deadline, "clausal simplification")
-            c2 = _simplify_clause(c)
-            if c2 is None:
-                changed = True
-                continue
-            if c2 != c:
-                changed = True
-            out.append(c2)
-        clauses = out
         if any(len(c) == 0 for c in clauses):
             clauses = [Clause(())]
             break
         # unit subsumption resolution
         units = [c.literals[0] for c in clauses if len(c) == 1]
         out = []
-        for c in clauses:
-            check_deadline(deadline, "clausal simplification")
-            lits = list(c.literals)
-            kept = []
-            for lit in lits:
-                comp = lit_complement(lit)
-                if len(c) > 1 and any(
-                        match_lit(u, comp, {}) for u in units):
-                    changed = True
-                    continue
-                kept.append(lit)
-            out.append(Clause(tuple(kept)) if len(kept) != len(lits) else c)
+        for c in _checked(clauses, deadline, layer):
+            kept = tuple(lit for lit in c.literals if len(c) == 1 or not any(
+                match_lit(u, lit_complement(lit), {}) for u in units))
+            if len(kept) != len(c):
+                changed = True
+                c = Clause(kept)
+            out.append(c)
         clauses = out
         # subsumption (incl. duplicates)
         kept = _drop_subsumed(clauses, deadline)
-        if len(kept) != len(clauses):
-            changed = True
+        changed |= len(kept) != len(clauses)
         clauses = kept
     return ClausalForm(clauses, dict(cf.skolems))
 
@@ -549,8 +567,7 @@ def _simplify_clause(c: Clause):
                     break
             if changed:
                 break
-    c2 = _mk_clause(lits)
-    return c2
+    return _mk_clause(lits)
 
 
 # ---------------------------------------------------------------------------
@@ -593,23 +610,24 @@ def clause_to_formula(c: Clause, taken=(),
                                         if n in _NICE_VARS else 99, n)), f)
 
 
-def clauses_to_formula(cf: ClausalForm) -> Formula:
-    if not cf.clauses:
-        return TRUE
-    return conj(clause_to_formula(c) for c in cf.clauses)
+def clauses_to_formula(cf: ClausalForm, deadline=math.inf) -> Formula:
+    return conj(clause_to_formula(c) for c in
+                _checked(cf.clauses, deadline, "un-Skolemization"))
 
 
 # ---------------------------------------------------------------------------
 # Un-Skolemization
 
-def unskolemize(cf: ClausalForm, ctx: Context | None = None) -> Formula:
+def unskolemize(cf: ClausalForm, ctx: Context | None = None,
+                deadline=math.inf) -> Formula:
     """Reconstruct a quantified formula without the Skolem symbols that
     cf.skolems records; other function symbols stay as they are.  The
     fresh variables avoid the names in ctx and every variable and
     function symbol of the clauses.
 
     Raises UnskolemizeError when the dependency pattern is not
-    invertible into a single quantifier prefix per clause group."""
+    invertible into a single quantifier prefix per clause group, and
+    DeadlineExceeded past the time.monotonic() deadline."""
     if ctx is None:
         ctx = Context()
     ctx.reserve(t.name if isinstance(t, Var) else t.functor
@@ -620,11 +638,11 @@ def unskolemize(cf: ClausalForm, ctx: Context | None = None) -> Formula:
     if not cf.clauses:
         return TRUE
     if not skolems:
-        return clauses_to_formula(cf)
+        return clauses_to_formula(cf, deadline)
 
     # group clauses connected through shared Skolem symbols
     groups = []
-    for c in cf.clauses:
+    for c in _checked(cf.clauses, deadline, "un-Skolemization"):
         syms = {t.functor for t in clause_terms(c)
                 if isinstance(t, Fn) and t.functor in skolems}
         merged = [c]
@@ -640,13 +658,14 @@ def unskolemize(cf: ClausalForm, ctx: Context | None = None) -> Formula:
     parts = []
     for syms, cs in groups:
         if not syms:
-            parts.append(clauses_to_formula(ClausalForm(cs)))
+            parts.append(clauses_to_formula(ClausalForm(cs), deadline))
         else:
-            parts.append(_unskolemize_group(cs, syms, skolems, ctx))
+            parts.append(
+                _unskolemize_group(cs, syms, skolems, ctx, deadline))
     return conj(parts)
 
 
-def _unskolemize_group(cs, syms, skolems, ctx):
+def _unskolemize_group(cs, syms, skolems, ctx, deadline):
     # canonical universal variables per Skolem argument position
     canon = {}  # skolem -> tuple of canonical var names
     for s in sorted(syms):
@@ -655,7 +674,7 @@ def _unskolemize_group(cs, syms, skolems, ctx):
     exvars = {s: ctx.fresh_var("y") for s in sorted(syms)}
 
     new_clauses = []
-    for c in cs:
+    for c in _checked(cs, deadline, "un-Skolemization"):
         ren = {}
         ok = _canonize_clause(c, syms, canon, ren)
         if not ok:
@@ -682,8 +701,8 @@ def _unskolemize_group(cs, syms, skolems, ctx):
         prefix.append(("ex", exvars[s]))
 
     bound = emitted | set(exvars.values())
-    matrix = conj(clause_to_formula(c, taken=bound, exclude=bound)
-                  for c in new_clauses)
+    matrix = conj(clause_to_formula(c, taken=bound, exclude=bound) for c in
+                  _checked(new_clauses, deadline, "un-Skolemization"))
     for kind, v in reversed(prefix):
         if kind == "all":
             matrix = ForAll((v,) + matrix.vars, matrix.body) \
@@ -730,20 +749,22 @@ def _replace_skolems(c, canon, exvars):
 # ---------------------------------------------------------------------------
 # Named pipelines
 
-def pipeline_c6(f: Formula) -> Formula:
+def pipeline_c6(f: Formula, deadline=math.inf) -> Formula:
     """CNF, clausal simplification, back to a quantified formula; falls
-    back to the input if un-Skolemization is not invertible."""
+    back to the input if un-Skolemization is not invertible.  Past the
+    time.monotonic() deadline it raises DeadlineExceeded."""
     if not is_first_order(f):
         raise PreprocessError("pipeline c6 requires a first-order formula")
     try:
-        return unskolemize(simplify_clausal(clausify(f)))
+        cf = simplify_clausal(clausify(f, None, deadline), deadline)
+        return unskolemize(cf, None, deadline)
     except UnskolemizeError:
         return f
 
 
-def pipeline_d6(f: Formula) -> Formula:
+def pipeline_d6(f: Formula, deadline=math.inf) -> Formula:
     """DNF dual of c6 via simplification of the negation."""
-    g = pipeline_c6(nnf(neg(f)))
+    g = pipeline_c6(nnf(neg(f)), deadline)
     return nnf(neg(g))
 
 

@@ -9,13 +9,13 @@ tableau for it can start from any of its clauses (Loveland 1978; Letz
 et al. 1992).  A connection index, built once per search, lists for each
 sign and predicate the input literals a goal can connect to; an
 extension tries a clause only when its literal has the goal's predicate
-and no function symbol that clashes with the goal.  The search shares
-structure (Boyer & Moore 1972): a clause is compiled once, when first
-used, with its variables numbered, and an instance of it is the compiled
-clause read at a fresh integer base, so an extension allocates one small
-search node per literal and no terms.  The tableau is built once, for
-the proof found, and grounded as it is built.  Reduction and regularity
-look only at ancestors with the goal's predicate.
+and unifies with the goal.  The search shares structure (Boyer & Moore
+1972): a clause is compiled once, when first used, with its variables
+numbered, and an instance of it is the compiled clause read at a fresh
+integer base, so an extension allocates one small search node per
+literal and no terms.  The tableau is built once, for the proof found,
+and grounded as it is built.  Reduction and regularity look only at
+ancestors with the goal's predicate.
 Clauses carry a side label (left/right) that the interpolation module
 reads off the closed tableau.  Equality is handled by adding the
 standard axioms when '=' occurs in the input.
@@ -66,7 +66,6 @@ class TableauNode:
     children: list = field(default_factory=list)
     closed_by: object = None   # TableauNode ancestor, or None for inner
     clause_index: int | None = None  # input clause used to expand here
-    pred_key: object = None    # pred_key of the literal's atom
 
     def leaves(self):
         if not self.children:
@@ -174,23 +173,6 @@ def _equal(xs, xb, ys, yb, env):
     return True
 
 
-def _clash(pats, ts, b, env):
-    """Whether the terms pats of an input clause, read with their
-    variables as wildcards, fail to match the compiled terms ts at base
-    b under env in some function symbol: then no instance of the clause
-    unifies with ts."""
-    for p, t in zip(pats, ts):
-        if isinstance(p, Var):
-            continue
-        t, tb = _deref(t, b, env)
-        if type(t) is int:
-            continue
-        if p.functor != t[0] or len(p.args) != len(t) - 1 \
-                or _clash(p.args, t[1:], tb, env):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Equality axioms
 
@@ -263,16 +245,15 @@ class _Search:
         self.top = 0                    # the next instance's base
         self.inferences = 0
         self.deadline = time.monotonic() + config.timeout_ms / 1000.0
-        # clause index -> _compile of the clause, made when the clause is
-        # first used: most clauses of a large input never are
+        # clause index -> _compile of the clause, made when a goal first
+        # tries the clause: most clauses of a large input never are
         self.compiled = {}
-        # (sign, predicate key) -> [(clause index, literal index, terms)],
-        # in clause order: the only input literals a goal can connect to
+        # (sign, predicate key) -> [(clause index, literal index)], in
+        # clause order: the only input literals a goal can connect to
         self.index = {}
         for idx, (cl, _side) in enumerate(clauses):
             for i, (s, a) in enumerate(cl.literals):
-                self.index.setdefault((s, pred_key(a)), []).append(
-                    (idx, i, atom_terms(a)))
+                self.index.setdefault((s, pred_key(a)), []).append((idx, i))
 
     def _tick(self):
         self.inferences += 1
@@ -326,10 +307,8 @@ class _Search:
         if depth <= 0:
             return
         # extension with an input clause whose literal can connect
-        for idx, i, pats in self.index.get((not sign, key), ()):
+        for idx, i in self.index.get((not sign, key), ()):
             self._tick()
-            if _clash(pats, args, base, env):
-                continue
             mark = len(trail)
             lit = self.clause(idx)[1][i]
             if _unify_args(lit[2], self.top, args, base, env, trail):
@@ -369,7 +348,7 @@ class _Search:
             ts = tuple(term(t, n.base) for t in args)
             atom = Eq(*ts) if key == "=" else Atom(key[0], ts)
             out = made[n] = TableauNode((sign, atom), self.clauses[n.idx][1],
-                                        clause_index=n.idx, pred_key=key)
+                                        clause_index=n.idx)
             if n.closed_by is not None:
                 out.closed_by = made[n.closed_by]
             out.children = [build(c) for c in n.children]

@@ -90,6 +90,15 @@ def test_un_skolemization_in_results():
         out.result, parse_formula("all(x, (q(x) -> ex(y, r(x, y))))"))
 
 
+def test_result_names_no_variable_like_a_constant():
+    # a is a constant and a bound variable; the existential that the
+    # Ackermann step puts around q must not capture the constant a
+    out = elim("ex2(p, (all([a,y], (q(a,y) -> p(y))), (p(a) -> r)))")
+    assert out.status == "success"
+    assert fo_equivalent(parse_formula(print_text(out.result)),
+                         parse_formula("ex(z, q(z, a)) -> r"))
+
+
 def test_constant_named_like_a_skolem_symbol_stays():
     # only the Skolem symbols that clausification recorded are turned
     # back into quantified variables, not every functor named sk<n>
@@ -201,6 +210,26 @@ def test_deadline_reaches_restore_quantifiers():
     assert out.status == "resources"
     assert "timeout" in out.reason
     assert time.monotonic() - t0 < 2.0
+
+
+# (a0, b0) ; ... ; (a11, b11), whose CNF has 4,096 clauses
+D12 = "(" + " ; ".join(f"(a{i}, b{i})" for i in range(12)) + ")"
+
+
+@pytest.mark.parametrize("src, pre, simp", [
+    (f"ex2(q, (q(c), {D12}))", "c6", None),
+    (f"ex2(q, (q(c), ~{D12}))", "d6", None),
+    (f"(ex2(q, q(c)), {D12})", None, "c6"),
+], ids=["pre-c6", "pre-d6", "simp_result-c6"])
+def test_deadline_reaches_the_pipelines(src, pre, simp):
+    # 0.7 to 2.0 s each while the c6 and d6 pipelines ignored the budget
+    f = parse_formula(src)
+    t0 = time.monotonic()
+    out = eliminate(EliminationTask(f, pre=pre, simp_result=simp,
+                                    timeout_ms=200))
+    assert out.status == "resources"
+    assert "timeout" in out.reason
+    assert time.monotonic() - t0 < 1.2 * 0.2 + 0.05
 
 
 @pytest.mark.parametrize("simp", [None, "c6"])

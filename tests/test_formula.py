@@ -9,7 +9,7 @@ from pie.formula import (
     ForAll2, Formula, Iff, Implies, Lambda, LambdaApp, MacroCall, Not, Or,
     PredSpec, TRUE, Truth, Var, children, conj, disj, free_symbols,
     free_vars, is_first_order, map_children, map_term, neg, nnf,
-    rename_bound, subformulas, substitute_predicate,
+    subformulas, substitute_predicate,
 )
 from pie.syntax import parse_formula
 
@@ -132,15 +132,6 @@ def test_context_fresh_names_avoid_reserved():
 def test_is_first_order():
     assert is_first_order(parse_formula("all(x, p(x))"))
     assert not is_first_order(parse_formula("ex2(p, p(a))"))
-
-
-def test_rename_bound_avoids_free_names():
-    # x occurs free (as a constant, or as a variable) and bound
-    x1 = Var("x1")
-    for free in (Fn("x"), Var("x")):
-        f = And((Atom("p", (free,)), ForAll(("x",), Atom("q", (Var("x"),)))))
-        assert rename_bound(f) == And(
-            (Atom("p", (free,)), ForAll(("x1",), Atom("q", (x1,)))))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from pie.formula import (
 )
 from pie.preprocess import (
     Clause, SUBSUMPTION_SIZE_CAP, UnskolemizeError, _Products, _cnf,
-    _drop_subsumed, _features, clausify, clauses_to_formula, lit_subst,
-    pipeline_c6, pipeline_d6, simplify_clausal, subsumes, unskolemize,
+    _drop_subsumed, _features, _simplify_clause, clausify,
+    clauses_to_formula, lit_subst, pipeline_c6, pipeline_d6,
+    simplify_clausal, subsumes, unskolemize,
 )
 from pie.syntax import parse_formula, print_text
 
@@ -53,6 +54,13 @@ def test_clausify_skolem_constant():
     cf = clausify(parse_formula("ex(x, p(x))"))
     ((name, (arity, deps)),) = cf.skolems.items()
     assert arity == 0
+
+
+def test_clausify_names_the_copies_of_a_quantifier_alike():
+    # miniscoping copies all(x) into both conjuncts; one name for both
+    # copies lets the product clause p(x) ; q be left out as implied
+    cf = clausify(parse_formula("all(x, (p(x), (p(x) ; q)))"))
+    assert cf.clauses == [Clause(((True, Atom("p", (Var("x"),))),))]
 
 
 @pytest.mark.parametrize("src, want", [
@@ -194,6 +202,17 @@ def drop_subsumed_all_pairs(clauses):
 @settings(deadline=None, max_examples=150)
 def test_drop_subsumed_matches_all_pairs(clauses):
     assert _drop_subsumed(clauses) == drop_subsumed_all_pairs(clauses)
+
+
+@given(clauses())
+@settings(deadline=None, max_examples=300)
+def test_deleting_literals_keeps_a_clause_normalised(c):
+    # simplify_clausal normalises each clause once, before its fixpoint,
+    # whose rounds then only delete literals
+    c = _simplify_clause(c)
+    for i in range(len(c) if c is not None else 0):
+        d = Clause(c.literals[:i] + c.literals[i + 1:])
+        assert _simplify_clause(d) == d
 
 
 def test_drop_subsumed_keeps_first_of_mutual_subsumers():
@@ -380,6 +399,11 @@ def roundtrip(src):
     "ex(x, all(y, p(x, y)))",
     "all([x,y], ex(z, r(x, y, z)))",
     "(ex(x, p(x)), all(y, q(y)))",
+    # bound names reused in one clause, and a free x beside a bound one
+    "all(x, p(x)) ; all(x, q(x))",
+    "p(x) ; all(x, q(x))",
+    "all(x, (r(x, x) ; all(x, ex(y, r(x, y)))))",
+    "ex(x, p(x)) ; all(x, ex(y, (r(x, y) ; all(x, q(x)))))",
 ])
 def test_unskolemize_inverts_skolemization(src):
     f = parse_formula(src)
