@@ -16,9 +16,8 @@ from .formula import (
     And, Atom, Context, Eq, Exists, Exists2, FALSE, Falsity, ForAll, ForAll2,
     Formula, FormulaError, Iff, Implies, Lambda, LambdaApp, MacroCall, Not,
     Or, PredSpec, TRUE, Truth, Var, all_names, beta_reduce, conj, disj,
-    exists, forall, free_symbols, free_vars, is_first_order, map_children,
-    neg, nnf, predicate_arities, subst_in_term, subst_vars,
-    substitute_predicate,
+    exists, forall, free_symbols, free_vars, map_children, neg, nnf,
+    predicate_arities, subst_in_term, subst_vars, substitute_predicate,
 )
 from .preprocess import (
     Clause, DeadlineExceeded, PIPELINES, check_deadline, clause_subst,
@@ -268,10 +267,9 @@ def _ackermann_case(p, arity, clauses, def_sign, ctx):
     return ackermann_rewrite(PredSpec(p, arity), conj([head, b]))
 
 
-def _eliminate_pred(p, body, ctx, task, deadline, reserved):
+def _eliminate_pred(p, body, ctx, task, deadline):
     """∃p body with first-order body; returns an equivalent first-order
-    formula or raises.  reserved says that ctx holds every name of
-    body."""
+    formula or raises."""
     check_deadline(deadline, "elimination")
     arities = predicate_arities(body).get(p, set())
     if not arities:
@@ -283,9 +281,7 @@ def _eliminate_pred(p, body, ctx, task, deadline, reserved):
     if task.pre:
         # the pipeline names its variables from a Context of its own
         g = PIPELINES[task.pre](g, deadline)
-        reserved = False
-    if not reserved:
-        ctx.reserve_formula(g)
+    ctx.reserve_formula(g)
     cf = simplify_clausal(clausify(g, ctx, deadline), deadline)
     last = None
     for def_sign in (True, False):
@@ -301,8 +297,8 @@ def _eliminate_pred(p, body, ctx, task, deadline, reserved):
 
 
 def _restore_quantifiers(f, skolems, ctx, deadline):
-    """Un-Skolemize the symbols of the skolems record (name -> (arity,
-    dependencies)) introduced during the elimination step."""
+    """Un-Skolemize the symbols of the skolems record (name -> arity)
+    introduced during the elimination step."""
     if not skolems:
         return f
     names = all_names(f)
@@ -342,15 +338,10 @@ def eliminate(task: EliminationTask) -> EliminationOutcome:
 
 def _elim(f, ctx, task, deadline):
     if isinstance(f, Exists2):
-        # eliminate reserved the names of its input, which f.body keeps
-        # unless it holds quantifiers for _elim to eliminate first
-        reserved = is_first_order(f.body)
         body = _elim(f.body, ctx, task, deadline)
         for p in f.preds:
-            body = _eliminate_pred(p.name, body, ctx, task, deadline,
-                                   reserved)
-            body = truth_simplify(body)
-            reserved = False
+            body = truth_simplify(
+                _eliminate_pred(p.name, body, ctx, task, deadline))
         return body
     if isinstance(f, ForAll2):
         try:

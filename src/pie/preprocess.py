@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 from .formula import (
     And, Atom, Context, Eq, Exists, FALSE, Falsity, Fn, ForAll, Formula,
-    Implies, Not, Or, TRUE, Truth, Var, atom_terms, conj, disj, forall,
-    free_symbols, free_vars, free_vars_term, fresh_name, is_first_order,
-    map_atom, neg, nnf, subst_vars, subterms,
+    Implies, Not, Or, Truth, Var, atom_terms, conj, disj, exists,
+    forall, free_symbols, free_vars, free_vars_term, fresh_name,
+    is_first_order, map_atom, neg, nnf, subst_vars, subterms,
 )
 
 
@@ -67,7 +67,7 @@ class Clause:
 class ClausalForm:
     clauses: list
     skolems: dict = field(default_factory=dict)
-    # skolems: name -> (arity, dependency variable names at introduction)
+    # skolems: name -> arity
 
 
 def clause_terms(c: Clause):
@@ -216,7 +216,7 @@ def _skolemize(g, env, univ, cf, ctx, taken):
                 env[v] = Var(name)
             else:
                 sk = ctx.fresh_skolem()
-                cf.skolems[sk] = (len(args), tuple(a.name for a in args))
+                cf.skolems[sk] = len(args)
                 env[v] = Fn(sk, args)
         return _skolemize(g.body, env, univ, cf, ctx, taken)
     if t is And:
@@ -625,125 +625,73 @@ def unskolemize(cf: ClausalForm, ctx: Context | None = None,
     fresh variables avoid the names in ctx and every variable and
     function symbol of the clauses.
 
-    Raises UnskolemizeError when the dependency pattern is not
-    invertible into a single quantifier prefix per clause group, and
-    DeadlineExceeded past the time.monotonic() deadline."""
+    The clauses that share Skolem symbols form a group, rebuilt under
+    one prefix: ex over the group's Skolem constants, then all over the
+    arguments of its one Skolem function f, then ex over f.  Raises
+    UnskolemizeError when a group has two Skolem functions, or when a
+    clause has f-terms other than one f(X1, ..., Xn) over distinct
+    variables, and DeadlineExceeded past the time.monotonic()
+    deadline."""
     if ctx is None:
         ctx = Context()
     ctx.reserve(t.name if isinstance(t, Var) else t.functor
                 for c in cf.clauses for t in clause_terms(c))
-    skolems = cf.skolems
     if any(len(c) == 0 for c in cf.clauses):
         return FALSE
-    if not cf.clauses:
-        return TRUE
-    if not skolems:
-        return clauses_to_formula(cf, deadline)
+    return conj(_unskolemize_group(cs, syms, cf.skolems, ctx, deadline)
+                for syms, cs in _skolem_groups(cf.clauses, cf.skolems,
+                                               deadline))
 
-    # group clauses connected through shared Skolem symbols
-    groups = []
-    for c in _checked(cf.clauses, deadline, "un-Skolemization"):
+
+def _skolem_groups(clauses, skolems, deadline):
+    """(Skolem symbols, clauses) for each group of clauses connected
+    through shared Skolem symbols; a clause without one is a group of
+    its own.  The groups come in the order of the last clause that
+    joined each, and in a group the clause that joined comes before the
+    groups it merged, in their order."""
+    groups = {}   # index of the last clause that joined -> (syms, clauses)
+    owner = {}    # Skolem symbol -> the key of its group
+    for i, c in enumerate(_checked(clauses, deadline, "un-Skolemization")):
         syms = {t.functor for t in clause_terms(c)
                 if isinstance(t, Fn) and t.functor in skolems}
         merged = [c]
-        rest = []
-        for g_syms, g_clauses in groups:
-            if syms & g_syms:
-                syms |= g_syms
-                merged.extend(g_clauses)
-            else:
-                rest.append((g_syms, g_clauses))
-        groups = rest + [(syms, merged)]
-
-    parts = []
-    for syms, cs in groups:
-        if not syms:
-            parts.append(clauses_to_formula(ClausalForm(cs), deadline))
-        else:
-            parts.append(
-                _unskolemize_group(cs, syms, skolems, ctx, deadline))
-    return conj(parts)
+        for k in sorted({owner[s] for s in syms if s in owner}):
+            g_syms, g_clauses = groups.pop(k)
+            syms |= g_syms
+            merged += g_clauses
+        groups[i] = (syms, merged)
+        owner.update(dict.fromkeys(syms, i))
+    return groups.values()
 
 
 def _unskolemize_group(cs, syms, skolems, ctx, deadline):
-    # canonical universal variables per Skolem argument position
-    canon = {}  # skolem -> tuple of canonical var names
-    for s in sorted(syms):
-        arity = skolems[s][0]
-        canon[s] = tuple(ctx.fresh_var("x") for _ in range(arity))
-    exvars = {s: ctx.fresh_var("y") for s in sorted(syms)}
-
-    new_clauses = []
+    """ex ys all xs ex y cs, where ys stand for the Skolem constants of
+    syms and y for f(xs), f its one Skolem function."""
+    funs = [s for s in syms if skolems[s]]
+    if len(funs) > 1:
+        raise UnskolemizeError("two Skolem functions in one clause group")
+    xs = [ctx.fresh_var("x") for s in funs for _ in range(skolems[s])]
+    ys = {s: ctx.fresh_var("y") for s in sorted(syms)}
+    bound = set(xs) | set(ys.values())
+    consts = {Fn(s, ()): Var(y) for s, y in ys.items() if s not in funs}
+    parts = []
     for c in _checked(cs, deadline, "un-Skolemization"):
-        ren = {}
-        ok = _canonize_clause(c, syms, canon, ren)
-        if not ok:
-            raise UnskolemizeError(
-                f"Skolem dependency pattern not invertible in {c}")
-        c2 = clause_subst(c, ren)
-        c2 = _replace_skolems(c2, canon, exvars)
-        new_clauses.append(c2)
-
-    # quantifier prefix: dependency sets must form a chain
-    dep_sets = {s: set(canon[s]) for s in syms}
-    order = sorted(syms, key=lambda s: (len(dep_sets[s]), s))
-    for a, b in itertools.combinations(order, 2):
-        if not (dep_sets[a] <= dep_sets[b] or dep_sets[b] <= dep_sets[a]):
-            raise UnskolemizeError(
-                "incomparable Skolem dependency sets in one clause group")
-    prefix = []  # (kind, var)
-    emitted = set()
-    for s in order:
-        for v in canon[s]:
-            if v not in emitted:
-                prefix.append(("all", v))
-                emitted.add(v)
-        prefix.append(("ex", exvars[s]))
-
-    bound = emitted | set(exvars.values())
-    matrix = conj(clause_to_formula(c, taken=bound, exclude=bound) for c in
-                  _checked(new_clauses, deadline, "un-Skolemization"))
-    for kind, v in reversed(prefix):
-        if kind == "all":
-            matrix = ForAll((v,) + matrix.vars, matrix.body) \
-                if isinstance(matrix, ForAll) else ForAll((v,), matrix)
-        else:
-            matrix = Exists((v,) + matrix.vars, matrix.body) \
-                if isinstance(matrix, Exists) else Exists((v,), matrix)
-    return matrix
-
-
-def _canonize_clause(c, syms, canon, ren):
-    """Build a renaming of clause variables so each Skolem occurrence
-    has exactly the canonical argument variables."""
-    for t in clause_terms(c):
-        if isinstance(t, Fn) and t.functor in syms:
-            want = canon[t.functor]
-            if len(t.args) != len(want):
-                return False
-            seen_args = set()
-            for arg, cv in zip(t.args, want):
-                if not isinstance(arg, Var):
-                    return False
-                if arg.name in seen_args:
-                    return False
-                seen_args.add(arg.name)
-                if arg.name in ren:
-                    if ren[arg.name] != Var(cv):
-                        return False
-                else:
-                    ren[arg.name] = Var(cv)
-    return True
-
-
-def _replace_skolems(c, canon, exvars):
-    def leaf(t):
-        if isinstance(t, Fn) and t.functor in exvars \
-                and len(t.args) == len(canon[t.functor]):
-            return Var(exvars[t.functor])
-        return None
-
-    return Clause(tuple((s, map_atom(a, leaf)) for s, a in c.literals))
+        uses = {t for t in clause_terms(c)
+                if isinstance(t, Fn) and t.functor in funs}
+        if len(uses) > 1:
+            raise UnskolemizeError(f"two argument lists of {funs[0]} in {c}")
+        sub = dict(consts)
+        for t in uses:
+            if len({a for a in t.args if isinstance(a, Var)}) < len(xs):
+                raise UnskolemizeError(f"{t} is not over distinct variables")
+            sub[t] = Var(ys[t.functor])
+            sub.update(zip(t.args, map(Var, xs)))
+        c = Clause(tuple((s, map_atom(a, sub.get)) for s, a in c.literals))
+        parts.append(clause_to_formula(c, taken=bound, exclude=bound))
+    matrix = conj(parts)
+    if funs:
+        matrix = ForAll(tuple(xs), Exists((ys.pop(funs[0]),), matrix))
+    return exists(ys.values(), matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Second-order quantifier elimination (DLS/Ackermann) and its oracles."""
 
+import importlib.util
 import itertools
+import os
+import random
 import time
 
 import pytest
@@ -23,6 +26,18 @@ from oracles import (
 )
 from test_formula import prop_formulas
 from test_macros import CIRC, table_from
+
+
+def _bench_oracles():
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "oracles.py")
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_ORACLES = _bench_oracles()
 
 
 def elim(src, **kw):
@@ -109,6 +124,54 @@ def test_constant_named_like_a_skolem_symbol_stays():
 
 # ---------------------------------------------------------------------------
 # Nonreducible and resource outcomes
+
+def test_skolem_function_over_two_argument_lists_is_nonreducible():
+    # the Ackermann step puts sk(x) into both p-literals of the second
+    # conjunct; un-Skolemizing t(sk(z1), sk(z11)) as t(y, y) gave a
+    # result that is true on a domain {1, 2} where the input is false
+    out = elim("ex2(p, (all(x, (q(x) -> ex(y, (p(y), s(x,y))))), "
+               "all([u,v], ((p(u), p(v)) -> t(u,v)))))")
+    assert out.status == "nonreducible"
+
+
+def template_corpus(n, seed):
+    """n elimination inputs: a definition of p under an existential and
+    a use of p with two p-literals, over q/1 and s/2."""
+    defs = ["all(x, ({A} -> ex(y, (p(y), {B}))))",
+            "all(x, ({A} -> ex(y, (~p(y), {B}))))",
+            "all(x, ex(y, (p(y) ; {B})))"]
+    uses = ["all([u,v], ((p(u), p(v)) -> {C}))",
+            "all([u,v], ({C} -> (p(u) ; p(v))))",
+            "all([u,v], ((p(u), {C}) -> p(v)))"]
+    atoms = {"A": ["q(x)", "~q(x)", "s(x,x)"],
+             "B": ["s(x,y)", "s(y,x)", "q(y)", "~q(y)", "s(y,y)"],
+             "C": ["s(u,v)", "s(v,u)", "q(u)", "~q(v)", "~s(u,u)"]}
+    rng = random.Random(seed)
+
+    def fill(template):
+        parts = {}
+        for k, choices in atoms.items():
+            a = rng.sample(choices, rng.choice([1, 1, 2]))
+            op = rng.choice([", ", "; "])
+            parts[k] = a[0] if len(a) == 1 else "(" + op.join(a) + ")"
+        return template.format(**parts)
+
+    return [f"ex2(p, ({fill(rng.choice(defs))}, {fill(rng.choice(uses))}))"
+            for _ in range(n)]
+
+
+def test_successes_pass_the_benchmark_oracle_on_a_template_corpus():
+    # the benchmark's oracle refuted 16 of these results before a Skolem
+    # function over two argument lists in one clause was rejected
+    refuted = []
+    for src in template_corpus(300, 2):
+        f = parse_formula(src)
+        out = eliminate(EliminationTask(f))
+        if out.status == "success" and \
+                BENCH_ORACLES.check_elimination(f, out.result, ["p"]):
+            refuted.append((src, print_text(out.result)))
+    assert not refuted
+
 
 def test_nonreducible_reported_honestly():
     # mixed-polarity non-ground clause joining p to itself: outside the
