@@ -283,7 +283,7 @@ def _eliminate_pred(p, body, ctx, task, deadline):
         g = PIPELINES[task.pre](g, deadline)
     ctx.reserve_formula(g)
     cf = simplify_clausal(clausify(g, ctx, deadline), deadline)
-    last = None
+    reasons = []
     for def_sign in (True, False):
         try:
             cases = _split_cases(cf.clauses, p, def_sign, deadline)
@@ -292,8 +292,8 @@ def _eliminate_pred(p, body, ctx, task, deadline):
             out = truth_simplify(disj(results))
             return _restore_quantifiers(out, cf.skolems, ctx, deadline)
         except EliminationError as e:
-            last = e
-    raise _Nonreducible(str(last))
+            reasons.append(f"def_sign={def_sign}: {e}")
+    raise _Nonreducible("; ".join(reasons))
 
 
 def _restore_quantifiers(f, skolems, ctx, deadline):

@@ -7,6 +7,7 @@ side are generalized to quantified variables.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 from .formula import (
@@ -198,16 +199,19 @@ def interpolate(task: InterpolationTask,
 def symmetric_interpolate(parts, config: ProverConfig | None = None):
     """Interpolants H1..Hn for a jointly unsatisfiable list of formulas:
     parts[i] entails H[i], the H[i] are jointly unsatisfiable, and each
-    H[i] uses only symbols parts[i] shares with the other parts."""
+    H[i] uses only symbols parts[i] shares with the other parts.  All n
+    interpolate calls share config.timeout_ms: each gets what is left."""
     if config is None:
         config = ProverConfig()
+    deadline = time.monotonic() + config.timeout_ms / 1000.0
     parts = list(parts)
     hs = []
     for i, f in enumerate(parts):
         others = hs[:i] + parts[i + 1:]
         rest = conj(others) if others else TRUE
         task = InterpolationTask(f, neg(rest))
-        out = interpolate(task, config)
+        left = int((deadline - time.monotonic()) * 1000)
+        out = interpolate(task, replace(config, timeout_ms=max(left, 0)))
         if out.status != "interpolant":
             raise InterpolationError(
                 f"symmetric interpolation failed at part {i}: {out.status}")

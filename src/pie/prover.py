@@ -19,11 +19,19 @@ ancestors with the goal's predicate.
 Clauses carry a side label (left/right) that the interpolation module
 reads off the closed tableau.  Equality is handled by adding the
 standard axioms when '=' occurs in the input.
+
+The countermodel search runs depth first over the cells of the tables
+(function cells, then predicate cells, in sorted (name, arity) and key
+order; values in domain order, False before True) and evaluates the
+formula at each node in three-valued logic, an unset cell unknown.  A
+branch on which it is already true is cut (Zhang & Zhang 1995); where
+it is already false, the unset cells take the least values (1, False).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -617,63 +625,111 @@ class Model:
         return "\n".join(lines)
 
 
+def _fold3(vals, s):
+    """Conjunction (s = 0) or disjunction (s = 1), stopping at an s."""
+    out = 1 - s
+    for v in vals:
+        if v == s:
+            return s
+        if v == 0.5:
+            out = 0.5
+    return out
+
+
+def _eval3(f, funs, preds, dom, env):
+    """f under partial tables, an unset cell unknown, in Kleene's strong
+    three-valued logic: 0 false, 1 true, 0.5 unknown, "not" is 1 - v.
+    A term's value is its element, or None when unknown."""
+    t = type(f)
+    if t is Atom or t is Eq:
+        args = tuple([env[a.name] if type(a) is Var
+                      else _eval3(a, funs, preds, dom, env)
+                      for a in (f.args if t is Atom else (f.lhs, f.rhs))])
+        if None in args:
+            return 0.5
+        if t is Eq:
+            return int(args[0] == args[1])
+        return preds[(f.pred, len(args))].get(args, 0.5)
+    if t is And or t is Or:
+        return _fold3((_eval3(g, funs, preds, dom, env) for g in f.args),
+                      int(t is Or))
+    if t is Implies:
+        a = _eval3(f.lhs, funs, preds, dom, env)
+        return 1 if not a else max(1 - a, _eval3(f.rhs, funs, preds, dom, env))
+    if t is ForAll or t is Exists:
+        return _fold3((_eval3(f.body, funs, preds, dom,
+                              {**env, **dict(zip(f.vars, vs))})
+                       for vs in itertools.product(dom, repeat=len(f.vars))),
+                      int(t is Exists))
+    if t is Not:
+        return 1 - _eval3(f.arg, funs, preds, dom, env)
+    if t is Iff:
+        a, b = (_eval3(g, funs, preds, dom, env) for g in (f.lhs, f.rhs))
+        return min(max(1 - a, b), max(1 - b, a))
+    if t is Truth or t is Falsity:
+        return int(t is Truth)
+    if t is Var:
+        return env[f.name]
+    if t is Fn:
+        args = tuple(_eval3(a, funs, preds, dom, env) for a in f.args)
+        return None if None in args else funs[(f.functor, len(args))].get(args)
+    raise ProverError(f"cannot evaluate {f!r} in a finite model")
+
+
 MODEL_SEARCH_CAP = 2_000_000
 
 
 def find_countermodel(f: Formula, max_size: int = 4,
                       timeout_ms: int = 5000) -> Model | None:
     """Search small finite interpretations falsifying f (free variables
-    are read universally)."""
+    are read universally), by domain size 1..max_size, depth first over
+    the table cells as the module docstring describes.  The model is
+    the first falsifying one in the cells' lexicographic order; None
+    at timeout_ms, or at a size with more than MODEL_SEARCH_CAP
+    interpretations."""
     if not is_first_order(f):
         f = reduce_so_universal(f)
-    fv = sorted(free_vars(f))
-    g = f
-    for v in reversed(fv):
-        g = ForAll((v,), g)
-    preds = {}
-    funs = {}
-    for o in free_symbols(g):
-        if o.kind == "predicate":
-            preds[(o.name, o.arity)] = None
-        else:
-            funs[(o.name, o.arity)] = None
+    fv = tuple(sorted(free_vars(f)))
+    g = ForAll(fv, f) if fv else f
+    syms = sorted({(o.kind == "predicate", o.name, o.arity)
+                   for o in free_symbols(g)})
     deadline = time.monotonic() + timeout_ms / 1000.0
     for n in range(1, max_size + 1):
-        dom = list(range(1, n + 1))
-        fun_spaces = []
-        for (name, ar) in sorted(funs):
-            keys = list(itertools.product(dom, repeat=ar))
-            fun_spaces.append(((name, ar), keys))
-        pred_spaces = []
-        for (name, ar) in sorted(preds):
-            keys = list(itertools.product(dom, repeat=ar))
-            pred_spaces.append(((name, ar), keys))
-        count = 1
-        for _, keys in fun_spaces:
-            count *= n ** len(keys)
-        for _, keys in pred_spaces:
-            count *= 2 ** len(keys)
-        if count > MODEL_SEARCH_CAP:
+        dom = range(1, n + 1)
+        funs, preds, cells = {}, {}, []
+        for is_pred, name, ar in syms:
+            table = (preds if is_pred else funs)[(name, ar)] = {}
+            for k in itertools.product(dom, repeat=ar):
+                if is_pred or n > 1:
+                    cells.append((table, k, (False, True) if is_pred else dom))
+                else:
+                    table[k] = 1    # a function's one value at size 1
+        if math.prod(len(c[2]) for c in cells) > MODEL_SEARCH_CAP:
             return None
-        for fun_choice in itertools.product(
-                *(itertools.product(dom, repeat=len(keys))
-                  for _, keys in fun_spaces)):
-            functions = {}
-            for ((name, ar), keys), vals in zip(fun_spaces, fun_choice):
-                functions[(name, ar)] = dict(zip(keys, vals))
-            for pred_choice in itertools.product(
-                    *(itertools.product((False, True), repeat=len(keys))
-                      for _, keys in pred_spaces)):
-                if time.monotonic() > deadline:
-                    return None
-                predicates = {}
-                for ((name, ar), keys), vals in zip(pred_spaces,
-                                                    pred_choice):
-                    predicates[(name, ar)] = {
-                        k for k, v in zip(keys, vals) if v}
-                m = Model(n, functions, predicates)
-                if not m.eval(g):
-                    return m
+
+        def search(i):
+            """Whether cells i.. can falsify g; None at the deadline."""
+            if time.monotonic() > deadline:
+                return None
+            v = _eval3(g, funs, preds, dom, {})
+            if v != 0.5:
+                return not v
+            table, key, values = cells[i]
+            for x in values:
+                table[key] = x
+                if (found := search(i + 1)) is not False:
+                    return found
+            del table[key]
+            return False
+
+        found = search(0)
+        if found is None:
+            return None
+        if found:
+            for table, key, values in cells:
+                table.setdefault(key, values[0])
+            return Model(n, funs, {k: {a for a, v in t.items() if v}
+                                   for k, t in preds.items()})
     return None
 
 

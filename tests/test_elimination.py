@@ -132,6 +132,11 @@ def test_skolem_function_over_two_argument_lists_is_nonreducible():
     out = elim("ex2(p, (all(x, (q(x) -> ex(y, (p(y), s(x,y))))), "
                "all([u,v], ((p(u), p(v)) -> t(u,v)))))")
     assert out.status == "nonreducible"
+    # both signs' reasons: the un-Skolemization failure of the first
+    # used to be hidden behind the case-split failure of the second
+    first, second = out.reason.split("; def_sign=False: ")
+    assert first.startswith("def_sign=True: cannot un-Skolemize result")
+    assert second == "clause with mixed/multiple p literals is not ground"
 
 
 def template_corpus(n, seed):

@@ -2,12 +2,15 @@
 
 import itertools
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from pie import interpolation
 from pie.formula import Implies, free_symbols, neg
 from pie.interpolation import (
-    InterpolationTask, emit_tableau_dot, interpolate, symmetric_interpolate,
+    Interpolant, InterpolationTask, emit_tableau_dot, interpolate,
+    symmetric_interpolate,
 )
 from pie.prover import ProverConfig, check_tableau, prove_implication
 from pie.syntax import parse_formula, print_text
@@ -163,6 +166,25 @@ def test_symmetric_interpolation():
                   for o in free_symbols(f)}
         mine = {o.name for o in free_symbols(parts[i])}
         assert {o.name for o in free_symbols(h)} <= (mine & others)
+
+
+def test_symmetric_interpolation_shares_one_budget(monkeypatch):
+    # each interpolate call is taken to use all the time it is given; at
+    # most the caller's budget may be handed out in all
+    now, given = [0.0], []
+
+    def spend_all(task, config):
+        given.append(config.timeout_ms)
+        now[0] += config.timeout_ms / 1000
+        return Interpolant(parse_formula("p"))
+
+    monkeypatch.setattr(interpolation, "time",
+                        SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(interpolation, "interpolate", spend_all)
+    parts = [parse_formula("p, s"), parse_formula("~p ; q"),
+             parse_formula("~q")]
+    symmetric_interpolate(parts, ProverConfig(timeout_ms=900))
+    assert len(given) == 3 and given[0] == 900 and sum(given) <= 900
 
 
 # ---------------------------------------------------------------------------

@@ -78,15 +78,20 @@ def test_propositional_decision_agrees_with_truth_tables():
     corpus = prop_corpus(250)[:250]
     for f in corpus:
         atoms = prop_atoms(f)
-        is_valid = all(truth_table(f, atoms))
+        table = truth_table(f, atoms)
         r = prove(f, ProverConfig(timeout_ms=2000))
-        if is_valid:
+        if all(table):
             assert r.proved, f
             assert check_tableau(r.tableau, r.clauses)
         else:
             m = find_countermodel(f, max_size=1)
             assert m is not None, f
             assert m.eval(neg(f)) is True
+            # the model is the first false row of the truth table
+            rows = list(itertools.product([False, True], repeat=len(atoms)))
+            row = rows[table.index(False)]
+            assert {k[0] for k, rel in m.predicates.items() if rel} \
+                == {a for a, v in zip(atoms, row) if v}, f
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +118,29 @@ def test_validate_unknown_on_hard_formula():
     out = validate(parse_formula(src),
                    ProverConfig(timeout_ms=400, max_depth=5))
     assert out.status == "unknown"
+
+
+def test_validate_finds_the_long_chain_countermodel():
+    # enumerating the 2^20 interpretations of this chain outlasted the
+    # 1 s share, and validate answered 'unknown'
+    f = parse_formula(" -> ".join(f"p{i}" for i in range(20)))
+    t0 = time.monotonic()
+    out = validate(f, ProverConfig(timeout_ms=2000))
+    assert time.monotonic() - t0 < 0.25
+    assert out.status == "invalid"
+    assert out.model.eval(neg(f)) is True
+
+
+def test_countermodel_search_exhausts_the_definiens_formula():
+    # the fixture's ppl_valid(definiens(p(a), kb2, [p,s])): enumerating
+    # its 786,432 interpretations of size 3 took about 15 s
+    kb2 = ("all(x, (p(x) -> q(x), s(x))), all(x, (s(x) -> r(x))), "
+           "all(x, (q(x), r(x) -> p(x)))")
+    f = reduce_so_universal(parse_formula(
+        f"ex2([p,s], ({kb2}, p(a))) -> all2([p,s], ({kb2} -> p(a)))"))
+    t0 = time.monotonic()
+    assert find_countermodel(f, max_size=3, timeout_ms=10000) is None
+    assert time.monotonic() - t0 < 3.0
 
 
 @pytest.mark.parametrize("src", ["ex2(p, p)", "lambda(x, p(x))"])
