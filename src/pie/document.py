@@ -386,10 +386,17 @@ def run_directive(d: Directive, pctx: ProcessingContext) -> DirectiveResult:
     except MacroError as e:
         return DirectiveResult("failed", _failure_text(d, str(e), printing),
                                detail=str(e))
-    cfg = ProverConfig(timeout_ms=int(opts["timeout_ms"]),
-                       max_depth=int(opts["max_depth"]))
     if d.kind == "form":
         return DirectiveResult("ok", _display(f) if printing else "", f)
+    try:
+        timeout_ms, max_depth, model_size = (
+            _int_option(opts, key)
+            for key in ("timeout_ms", "max_depth", "model_size"))
+    except ValueError as e:
+        return DirectiveResult(
+            "failed", _failure_text(d, _latex_text(str(e)), printing),
+            detail=str(e))
+    cfg = ProverConfig(timeout_ms=timeout_ms, max_depth=max_depth)
     if d.kind == "elim":
         elim_opts = opts.get("elim_options") or {}
         pre = elim_opts.get("pre")
@@ -399,7 +406,7 @@ def run_directive(d: Directive, pctx: ProcessingContext) -> DirectiveResult:
         if isinstance(simp, list):
             simp = simp[0] if simp else None
         task = EliminationTask(f, pre=pre, simp_result=simp,
-                               timeout_ms=int(opts["timeout_ms"]))
+                               timeout_ms=timeout_ms)
         out = eliminate(task)
         if out.status != "success":
             return DirectiveResult(
@@ -436,7 +443,7 @@ def run_directive(d: Directive, pctx: ProcessingContext) -> DirectiveResult:
                     + _display(out.formula))
         return DirectiveResult("ok", text, out.formula)
     if d.kind == "valid":
-        out = validate(f, cfg, model_size=int(opts["model_size"]))
+        out = validate(f, cfg, model_size=model_size)
         verdict = {"valid": "is valid",
                    "invalid": "is not valid",
                    "unknown": "failed to validate"}[out.status]
@@ -447,6 +454,26 @@ def run_directive(d: Directive, pctx: ProcessingContext) -> DirectiveResult:
         status = "ok" if out.status == "valid" else "failed"
         return DirectiveResult(status, text, f, detail=out.status)
     raise DocumentError(f"unknown directive kind {d.kind!r}")
+
+
+def _int_option(opts: dict, key: str) -> int:
+    """opts[key] as an integer; a ValueError naming the option and its
+    value if it is not one."""
+    try:
+        return int(opts[key])
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"option {key}={opts[key]} is not an integer") from None
+
+
+_LATEX_SPECIALS = str.maketrans(
+    {**{c: "\\" + c for c in "#$%&_{}"},
+     "\\": r"\textbackslash{}", "^": r"\^{}", "~": r"\~{}"})
+
+
+def _latex_text(s: str) -> str:
+    """s as LaTeX text, its special characters escaped."""
+    return s.translate(_LATEX_SPECIALS)
 
 
 def _failure_text(d: Directive, msg: str, printing: bool) -> str:

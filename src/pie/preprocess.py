@@ -610,11 +610,6 @@ def clause_to_formula(c: Clause, taken=(),
                                         if n in _NICE_VARS else 99, n)), f)
 
 
-def clauses_to_formula(cf: ClausalForm, deadline=math.inf) -> Formula:
-    return conj(clause_to_formula(c) for c in
-                _checked(cf.clauses, deadline, "un-Skolemization"))
-
-
 # ---------------------------------------------------------------------------
 # Un-Skolemization
 

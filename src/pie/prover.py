@@ -26,6 +26,12 @@ order; values in domain order, False before True) and evaluates the
 formula at each node in three-valued logic, an unset cell unknown.  A
 branch on which it is already true is cut (Zhang & Zhang 1995); where
 it is already false, the unset cells take the least values (1, False).
+A function cell takes only the values 1..top+1, top the largest element
+that its key and the cells before it name: SEM's least number
+heuristic.  A larger value gives an interpretation isomorphic to one
+tried before, and the first countermodel in the cells' order never has
+one (swapping its value with top+1 would give an earlier countermodel),
+so the bound changes the time, not the model found.
 """
 
 from __future__ import annotations
@@ -683,10 +689,13 @@ def find_countermodel(f: Formula, max_size: int = 4,
                       timeout_ms: int = 5000) -> Model | None:
     """Search small finite interpretations falsifying f (free variables
     are read universally), by domain size 1..max_size, depth first over
-    the table cells as the module docstring describes.  The model is
-    the first falsifying one in the cells' lexicographic order; None
-    at timeout_ms, or at a size with more than MODEL_SEARCH_CAP
-    interpretations."""
+    the table cells as the module docstring describes.  A function cell
+    tries only the elements 1..top+1, top the largest element its key
+    and the earlier cells name; the model is still the first falsifying
+    one in the cells' lexicographic order, which never exceeds that
+    bound.  None at timeout_ms, or at a size with more than
+    MODEL_SEARCH_CAP interpretations, counted in full, without the
+    bound."""
     if not is_first_order(f):
         f = reduce_so_universal(f)
     fv = tuple(sorted(free_vars(f)))
@@ -707,22 +716,26 @@ def find_countermodel(f: Formula, max_size: int = 4,
         if math.prod(len(c[2]) for c in cells) > MODEL_SEARCH_CAP:
             return None
 
-        def search(i):
-            """Whether cells i.. can falsify g; None at the deadline."""
+        def search(i, top):
+            """Whether cells i.. can falsify g; None at the deadline.
+            top is the largest element the cells before i name."""
             if time.monotonic() > deadline:
                 return None
             v = _eval3(g, funs, preds, dom, {})
             if v != 0.5:
                 return not v
             table, key, values = cells[i]
+            if values is dom:       # a function cell
+                top = max((top, *key))
+                values = dom[:top + 1]
             for x in values:
                 table[key] = x
-                if (found := search(i + 1)) is not False:
+                if (found := search(i + 1, max(top, x))) is not False:
                     return found
             del table[key]
             return False
 
-        found = search(0)
+        found = search(0, 0)
         if found is None:
             return None
         if found:

@@ -98,6 +98,19 @@ def test_process_writes_output(capsys, tmp_path):
     assert "Result of interpolation" in target.read_text()
 
 
+def test_process_survives_non_integer_options(capsys, tmp_path):
+    doc = tmp_path / "bad.pie"
+    doc.write_text(
+        ":- ppl_printtime(ppl_valid((p -> q), [model_size=foo])).\n"
+        ":- ppl_default(timeout_ms=abc).\n"
+        ":- ppl_printtime(ppl_valid((p ; ~p))).\n")
+    code, out, err = run(capsys, "process", str(doc))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert "option model\\_size=foo is not an integer" in out
+    assert "option timeout\\_ms=abc is not an integer" in out
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "process", "/nonexistent/x.pie")
     assert code == 2

@@ -176,6 +176,25 @@ def test_timeout_option_flows_into_elim():
     assert r.status in ("ok", "failed")
 
 
+def test_non_integer_options_fail_their_directive_alone():
+    # int() of these options raised out of process_document, and the
+    # whole document was lost
+    doc, table = load_document(
+        ":- ppl_printtime(ppl_valid((p -> q), [model_size=foo])).\n"
+        f"{VALID_P}"
+        ":- ppl_default(timeout_ms=abc).\n"
+        ":- ppl_printtime(ppl_valid((p ; ~p))).\n")
+    assert process_document(doc, table).split("\n\n") == [
+        "\\noindent $\\mathsf{p} \\rightarrow \\mathsf{q}$\\\\\n"
+        "option model\\_size=foo is not an integer.",
+        VALID_P_TEXT,
+        "\\noindent $\\mathsf{p} \\lor \\lnot \\mathsf{p}$\\\\\n"
+        "option timeout\\_ms=abc is not an integer.\n"]
+    r, _ = run_one(VALID_P, max_depth=[1, 2])
+    assert r.status == "failed"
+    assert r.detail == "option max_depth=[1, 2] is not an integer"
+
+
 # ---------------------------------------------------------------------------
 # Full document processing
 

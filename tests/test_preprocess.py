@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pie.formula import (
-    And, Atom, Context, Eq, Exists, Fn, ForAll, Not, Or, Var, free_symbols,
-    map_children, neg, nnf,
+    And, Atom, Context, Eq, Exists, Fn, ForAll, Not, Or, Var, conj,
+    free_symbols, map_children, neg, nnf,
 )
 from pie.preprocess import (
     ClausalForm, Clause, SUBSUMPTION_SIZE_CAP, UnskolemizeError, _Products,
     _cnf, _drop_subsumed, _features, _simplify_clause, clause_terms,
-    clausify, clauses_to_formula, lit_subst, pipeline_c6, pipeline_d6,
+    clause_to_formula, clausify, lit_subst, pipeline_c6, pipeline_d6,
     simplify_clausal, subsumes, unskolemize,
 )
 from pie.syntax import parse_formula, print_text
@@ -80,6 +80,10 @@ def test_clause_forms_agree_on_truth_constants(src, want):
 
 def simp(src):
     return simplify_clausal(clausify(parse_formula(src)))
+
+
+def clauses_to_formula(cf):
+    return conj(clause_to_formula(c) for c in cf.clauses)
 
 
 def test_subsumption_removes_weaker_clause():

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import math
+import random
 import time
 from pathlib import Path
 
@@ -10,13 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 from pie.formula import Atom, Context, Fn, Implies, Var, map_atom, neg
 from pie.preprocess import Clause, clausify
+from pie import prover
 from pie.prover import (
-    ProverConfig, check_tableau, find_countermodel, prove, prove_clausal,
+    Model, ProverConfig, check_tableau, find_countermodel, prove, prove_clausal,
     prove_implication, reduce_so_universal, side_clauses, validate,
 )
 from pie.syntax import parse_formula, print_text
 
 from oracles import prop_atoms, prop_corpus, truth_table, eval_prop
+from test_elimination import BENCH_ORACLES
 
 FAST = ProverConfig(timeout_ms=3000)
 
@@ -131,16 +135,147 @@ def test_validate_finds_the_long_chain_countermodel():
     assert out.model.eval(neg(f)) is True
 
 
-def test_countermodel_search_exhausts_the_definiens_formula():
-    # the fixture's ppl_valid(definiens(p(a), kb2, [p,s])): enumerating
-    # its 786,432 interpretations of size 3 took about 15 s
+def _definiens_formula():
+    # the fixture's ppl_valid(definiens(p(a), kb2, [p,s]))
     kb2 = ("all(x, (p(x) -> q(x), s(x))), all(x, (s(x) -> r(x))), "
            "all(x, (q(x), r(x) -> p(x)))")
-    f = reduce_so_universal(parse_formula(
+    return reduce_so_universal(parse_formula(
         f"ex2([p,s], ({kb2}, p(a))) -> all2([p,s], ({kb2} -> p(a)))"))
+
+
+def test_countermodel_search_exhausts_the_definiens_formula():
+    # enumerating its 786,432 interpretations of size 3 took about 15 s
+    f = _definiens_formula()
     t0 = time.monotonic()
     assert find_countermodel(f, max_size=3, timeout_ms=10000) is None
     assert time.monotonic() - t0 < 3.0
+
+
+def test_countermodel_search_skips_isomorphic_branches(monkeypatch):
+    # trying the constant a at each element visited 6,638 nodes, where
+    # the branches a=2 and a=3 repeat a=1 up to a swap of elements
+    nodes, depth = 0, 0
+    eval3 = prover._eval3
+
+    def counted(*args):
+        nonlocal nodes, depth
+        nodes += depth == 0
+        depth += 1
+        try:
+            return eval3(*args)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(prover, "_eval3", counted)
+    assert find_countermodel(_definiens_formula(), max_size=3,
+                             timeout_ms=10000) is None
+    assert nodes <= 2000
+
+
+# A seeded corpus of closed formulas over the constants a, b, c, the
+# function f/1 and the predicates p/1, q/1, r/2, kept to those with at
+# most _REFERENCE_CAP interpretations of size 3.  Half of them are
+# disjoined with a=b ; b=c ; a=c, so that only models of size 3 with
+# three distinct constants can falsify them.
+_REFERENCE_CAP = 5000
+
+
+def _random_formula(rng, depth, bound=()):
+    if depth == 0 or rng.random() < 0.25:
+        def term():
+            t = rng.choice(("a", "b", "c", *bound))
+            return f"f({t})" if rng.random() < 0.3 else t
+        kind = rng.randrange(4)
+        if kind == 0:
+            return f"{term()}={term()}"
+        if kind == 1:
+            return f"r({term()},{term()})"
+        return f"{'pq'[kind - 2]}({term()})"
+    kind = rng.randrange(6)
+    if kind < 2:
+        v = "xy"[len(bound) % 2]
+        body = _random_formula(rng, depth - 1, (*bound, v))
+        return f"{('all', 'ex')[kind]}({v}, {body})"
+    if kind == 2:
+        return f"~{_random_formula(rng, depth - 1, bound)}"
+    op = (",", ";", "->", "<->")[kind - 3]
+    lhs, rhs = (_random_formula(rng, depth - 1, bound) for _ in "lr")
+    return f"({lhs} {op} {rhs})"
+
+
+# three formulas whose first models need a function value above every
+# element named before its cell, but not above the cell's own key: f
+# without a fixed point, f a 3-cycle, and f(a)=a with f swapping the
+# other two elements
+_FUNCTION_CYCLES = [
+    "ex(x, f(x)=x)",
+    "(ex(x, f(x)=x) ; ex(x, f(f(x))=x))",
+    "(~(f(a)=a) ; ex(x, (~(x=a), (f(x)=x ; f(x)=a))) ; "
+    "all([x,y], (x=a ; y=a ; x=y)))",
+]
+
+
+def _model_search_corpus(k, seed=1):
+    rng = random.Random(seed)
+    out = [parse_formula(text) for text in _FUNCTION_CYCLES]
+    while len(out) < k:
+        text = _random_formula(rng, 3)
+        if rng.random() < 0.5:
+            text = f"(a=b ; (b=c ; (a=c ; {text})))"
+        f = parse_formula(text)
+        preds, funs, _ = BENCH_ORACLES.vocabulary(f)
+        if (math.prod(3 ** 3 ** ar for ar in funs.values())
+                * math.prod(2 ** 3 ** ar for ar in preds.values())
+                <= _REFERENCE_CAP):
+            out.append(f)
+    return out
+
+
+def _first_countermodel(f, max_size):
+    """The first interpretation falsifying f, enumerated whole in the
+    search's cell order: function cells, then predicate cells, each in
+    sorted (name, arity) and key order; values in domain order, False
+    before True."""
+    preds, funs, _ = BENCH_ORACLES.vocabulary(f)
+    for n in range(1, max_size + 1):
+        dom = range(1, n + 1)
+        fcells, pcells = ([(name, ar, key) for name, ar in sorted(s.items())
+                           for key in itertools.product(dom, repeat=ar)]
+                          for s in (funs, preds))
+        for fvals in itertools.product(dom, repeat=len(fcells)):
+            for pvals in itertools.product((False, True),
+                                           repeat=len(pcells)):
+                functions = {(name, ar): {} for name, ar in funs.items()}
+                for (name, ar, key), v in zip(fcells, fvals):
+                    functions[(name, ar)][key] = v
+                predicates = {(name, ar): set()
+                              for name, ar in preds.items()}
+                for (name, ar, key), v in zip(pcells, pvals):
+                    if v:
+                        predicates[(name, ar)].add(key)
+                m = Model(n, functions, predicates)
+                if BENCH_ORACLES.check_countermodel(f, m) is None:
+                    return m
+    return None
+
+
+def test_countermodel_search_returns_the_first_model_in_cell_order():
+    # the search tries a function cell only at the elements 1..top+1,
+    # top the largest element named before; the first model must be
+    # the one the whole enumeration finds first
+    sizes = []
+    for f in _model_search_corpus(300):
+        want = _first_countermodel(f, 3)
+        got = find_countermodel(f, max_size=3, timeout_ms=60000)
+        if want is None:
+            assert got is None, print_text(f)
+        else:
+            assert got is not None, print_text(f)
+            assert (got.size, got.functions, got.predicates) == (
+                want.size, want.functions, want.predicates), print_text(f)
+        sizes.append(want and want.size)
+    # the corpus reaches every size, and formulas with no model
+    assert all(sizes.count(n) >= 20 for n in (None, 1, 2, 3))
 
 
 @pytest.mark.parametrize("src", ["ex2(p, p)", "lambda(x, p(x))"])
