@@ -18,6 +18,7 @@ from .macros import (
     BUILTINS, BuiltinCall, MacroDefinition, MacroError, MacroTable,
     define_macro, expand, is_placeholder,
 )
+from .preprocess import PIPELINES
 from .prover import ProverConfig, validate
 from .syntax import ParseError, Parser, print_latex
 
@@ -405,6 +406,12 @@ def run_directive(d: Directive, pctx: ProcessingContext) -> DirectiveResult:
         simp = opts.get("simp_result")
         if isinstance(simp, list):
             simp = simp[0] if simp else None
+        for key, name in (("pre", pre), ("simp_result", simp)):
+            if name and not (isinstance(name, str) and name in PIPELINES):
+                msg = f"unknown pipeline {key}={name}"
+                return DirectiveResult(
+                    "failed", _failure_text(d, _latex_text(msg), printing),
+                    detail=msg)
         task = EliminationTask(f, pre=pre, simp_result=simp,
                                timeout_ms=timeout_ms)
         out = eliminate(task)

@@ -16,6 +16,17 @@ integer base, so an extension allocates one small search node per
 literal and no terms.  The tableau is built once, for the proof found,
 and grounded as it is built.  Reduction and regularity look only at
 ancestors with the goal's predicate.
+A failure cache, which lives for one search, cuts goals whose subtree
+already failed (Astrachan & Stickel 1992).  A goal with at least two
+levels of depth left is keyed on its literal and then its path's, read
+under the current bindings with their variables numbered jointly by
+first occurrence (a path literal that is ground when pushed is read only
+then).  When the subtree closes in no way, the cache records the
+remaining depth, and a later goal with the same key and no more depth
+left fails at once.  Whether a subtree can close depends only on its
+goal and path up to renaming, and a failure at some depth holds at every
+smaller one; so only subtrees that would yield nothing are cut, and the
+search finds the same first proof with fewer inferences.
 Clauses carry a side label (left/right) that the interpolation module
 reads off the closed tableau.  Equality is handled by adding the
 standard axioms when '=' occurs in the input.
@@ -103,6 +114,7 @@ class ProofResult:
     elapsed_ms: float = 0.0
     reason: str = ""
     clauses: list = field(default_factory=list)  # (Clause, side) inputs
+    cached_failures: int = 0  # goals the failure cache cut
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +184,26 @@ def _unify_args(xs, xb, ys, yb, env, trail):
     return True
 
 
+def _read(args, b, env, num):
+    """The terms args at base b under env as a list, their unbound
+    variables numbered by num in the order they first occur."""
+    out = []
+    for t in args:
+        t, c = _deref(t, b, env)
+        if type(t) is int:
+            t = num.setdefault(t, len(num))
+        elif len(t) > 1:
+            t = (t[0], *_read(t[1:], c, env, num))
+        out.append(t)
+    return out
+
+
+def _read_lit(n, env, num):
+    """The literal of search node n under env, read as by _read."""
+    sign, key, args = n.lit
+    return (sign, key, *_read(args, n.base, env, num))
+
+
 def _equal(xs, xb, ys, yb, env):
     """Whether the argument tuples xs at xb and ys at yb are equal under
     env, unbound variables only to themselves."""
@@ -239,8 +271,10 @@ GROUND_PREFIX = "c_"
 class _Node:
     """A literal of a clause instance in the search: its compiled
     (sign, predicate key, args), its base, its input clause, and, once it
-    is closed, its children or the ancestor that closes it."""
-    __slots__ = ("lit", "base", "idx", "children", "closed_by")
+    is closed, its children or the ancestor that closes it.  On the path,
+    key is its literal as read in a failure-cache key, if that is
+    ground."""
+    __slots__ = ("lit", "base", "idx", "children", "closed_by", "key")
 
     def __init__(self, lit, base, idx):
         self.lit = lit
@@ -248,6 +282,7 @@ class _Node:
         self.idx = idx
         self.children = ()
         self.closed_by = None
+        self.key = None
 
 
 class _Search:
@@ -258,6 +293,10 @@ class _Search:
         self.trail = []
         self.top = 0                    # the next instance's base
         self.inferences = 0
+        # failure cache: the key of a goal and its path -> the largest
+        # remaining depth at which that goal's subtree yielded nothing
+        self.failed = {}
+        self.cached_failures = 0
         self.deadline = time.monotonic() + config.timeout_ms / 1000.0
         # clause index -> _compile of the clause, made when a goal first
         # tries the clause: most clauses of a large input never are
@@ -307,6 +346,19 @@ class _Search:
             if k == key and s == sign and _equal(a, anc.base, args, base,
                                                  env):
                 return
+        # failure cache (see the module docstring): the key is the goal
+        # and its path, read with their variables numbered jointly
+        cache_key = ground = None
+        closed = False
+        if depth >= 2:
+            num = {}
+            goal = (sign, key, *_read(args, base, env, num))
+            ground = None if num else goal
+            cache_key = (goal, *[n.key or _read_lit(n, env, num)
+                                 for n in path])
+            if self.failed.get(cache_key, -1) >= depth:
+                self.cached_failures += 1
+                return
         # reduction against the complement of an ancestor
         for anc in path:
             s, k, a = anc.lit
@@ -315,6 +367,7 @@ class _Search:
                 if _unify_args(a, anc.base, args, base, env, trail):
                     node.closed_by = anc
                     node.children = ()
+                    closed = True
                     yield True
                     node.closed_by = None
                 self._undo(mark)
@@ -329,10 +382,18 @@ class _Search:
                 children = self.instance(idx)
                 children[i].closed_by = node
                 node.children = children
-                yield from self.solve_all(children[:i] + children[i + 1:],
-                                          path + [node], depth - 1)
+                if depth > 2:   # else no goal below reads node.key
+                    num = {}
+                    read = ground or _read_lit(node, env, num)
+                    node.key = None if num else read
+                for _ in self.solve_all(children[:i] + children[i + 1:],
+                                        path + [node], depth - 1):
+                    closed = True
+                    yield True
                 node.children = ()
             self._undo(mark)
+        if cache_key is not None and not closed:
+            self.failed[cache_key] = depth
 
     def solve_all(self, goals, path, depth):
         if not goals:
@@ -412,14 +473,15 @@ def prove_clausal(clauses, config: ProverConfig | None = None
                 root = search.tableau(idx, children)
                 ms = (time.monotonic() - t0) * 1000
                 return ProofResult(True, root, depth, search.inferences,
-                                   ms, "proved", clauses)
+                                   ms, "proved", clauses,
+                                   search.cached_failures)
     except _LimitHit as hit:
         ms = (time.monotonic() - t0) * 1000
         return ProofResult(False, None, None, search.inferences, ms,
-                           hit.args[0], clauses)
+                           hit.args[0], clauses, search.cached_failures)
     ms = (time.monotonic() - t0) * 1000
     return ProofResult(False, None, None, search.inferences, ms,
-                       "depth bound exhausted", clauses)
+                       "depth bound exhausted", clauses, search.cached_failures)
 
 
 def check_tableau(root: TableauNode, clauses) -> bool:

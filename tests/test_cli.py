@@ -111,6 +111,22 @@ def test_process_survives_non_integer_options(capsys, tmp_path):
     assert "option timeout\\_ms=abc is not an integer" in out
 
 
+@pytest.mark.parametrize("option", [
+    "elim_options=[pre=d7]", "simp_result=foo"])
+def test_process_survives_unknown_pipeline(capsys, tmp_path, option):
+    doc = tmp_path / "bad.pie"
+    doc.write_text(
+        ":- ppl_printtime(ppl_valid((p ; ~p))).\n"
+        f":- ppl_printtime(ppl_elim(ex2(p, (p, (p -> q(a)))), [{option}])).\n"
+        ":- ppl_printtime(ppl_valid((p -> p))).\n")
+    code, out, err = run(capsys, "process", str(doc))
+    assert code == 0
+    assert "Traceback" not in err
+    name = option.split("[")[-1].rstrip("]").replace("_", "\\_")
+    assert f"unknown pipeline {name}." in out
+    assert out.count("is valid.") == 2
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "process", "/nonexistent/x.pie")
     assert code == 2

@@ -195,6 +195,24 @@ def test_non_integer_options_fail_their_directive_alone():
     assert r.detail == "option max_depth=[1, 2] is not an integer"
 
 
+ELIM_P = ":- ppl_printtime(ppl_elim(ex2(p, (p, (p -> q(a)))), [{}])).\n"
+ELIM_P_TEXT = ("\\noindent $\\exists \\mathit{{p}} \\, (\\mathsf{{p}} \\land "
+               "(\\mathsf{{p}} \\rightarrow \\mathsf{{q}}(\\mathsf{{a}})))$\\\\\n"
+               "unknown pipeline {}.")
+
+
+@pytest.mark.parametrize("option, reason", [
+    ("elim_options=[pre=d7]", "pre=d7"),
+    ("simp_result=foo", "simp\\_result=foo"),
+])
+def test_unknown_pipeline_fails_its_directive_alone(option, reason):
+    # PIPELINES[name] raised a KeyError out of process_document, and the
+    # whole document was lost
+    doc, table = load_document(VALID_P + ELIM_P.format(option) + VALID_P)
+    assert process_document(doc, table).split("\n\n") == [
+        VALID_P_TEXT, ELIM_P_TEXT.format(reason), VALID_P_TEXT + "\n"]
+
+
 # ---------------------------------------------------------------------------
 # Full document processing
 

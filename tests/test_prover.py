@@ -1,16 +1,21 @@
 """Model-elimination prover, tableau checker, countermodels, validation."""
 
+import contextlib
+import importlib.util
 import itertools
 import json
 import math
 import random
+import sys
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pie.formula import Atom, Context, Fn, Implies, Var, map_atom, neg
+from pie.formula import (
+    Atom, Context, Eq, Fn, ForAll, Implies, Var, map_atom, neg,
+)
 from pie.preprocess import Clause, clausify
 from pie import prover
 from pie.prover import (
@@ -425,12 +430,30 @@ P33 = ("all(x, ((p(a), (p(x) -> p(b))) -> p(c))) <-> "
     (PINNED["dnf-3"]["formula"], 616),
     (PINNED["pelletier-17"]["formula"], 111),
     (P33, 129),
-], ids=["pelletier-45", "dnf-3", "pelletier-17", "pelletier-33"])
+    (PINNED["pelletier-26"]["formula"], 3678),
+    (PINNED["dnf-4"]["formula"], 4200),
+], ids=["pelletier-45", "dnf-3", "pelletier-17", "pelletier-33",
+        "pelletier-26", "dnf-4"])
 def test_inference_counts_do_not_grow(src, most):
     # a machine-independent guard against a slower search
     r = prove(parse_formula(src), ProverConfig(timeout_ms=20000))
     assert r.proved, r.reason
     assert r.inferences <= most
+
+
+def test_dnf_5_is_proved():
+    # the search without its failure cache timed out after about 2.8M
+    # inferences
+    r = prove(dnf_family(5), ProverConfig(timeout_ms=4000))
+    assert r.proved, r.reason
+    assert check_tableau(r.tableau, r.clauses)
+
+
+def test_cached_failures_are_counted():
+    assert prove(parse_formula(PINNED["dnf-4"]["formula"]),
+                 FAST).cached_failures > 0
+    assert prove(parse_formula(PINNED["pelletier-18"]["formula"]),
+                 FAST).cached_failures == 0
 
 
 @pytest.mark.parametrize("src", [
@@ -575,3 +598,129 @@ def test_prover_property(f):
     assert r.proved == is_valid
     if r.proved:
         assert check_tableau(r.tableau, r.clauses)
+
+
+# ---------------------------------------------------------------------------
+# Property: the failure cache cuts only subtrees that would yield nothing,
+# so the search finds the same proof at the same depth with no more
+# inferences than without it
+
+class _NoHits(dict):
+    """A failure cache that records every failure and never hits."""
+
+    def get(self, key, default=None):
+        return -1
+
+
+@contextlib.contextmanager
+def _no_cache_hits():
+    init = prover._Search.__init__
+
+    def patched(self, *args):
+        init(self, *args)
+        self.failed = _NoHits()
+
+    prover._Search.__init__ = patched
+    try:
+        yield
+    finally:
+        prover._Search.__init__ = init
+
+
+def _assert_same_search(attempt):
+    cached = attempt()
+    with _no_cache_hits():
+        plain = attempt()
+    assert plain.cached_failures == 0
+    assert cached.inferences <= plain.inferences
+    if plain.reason == "inference limit":
+        return
+    assert (cached.proved, cached.reason, cached.depth) == \
+        (plain.proved, plain.reason, plain.depth)
+    if plain.proved:
+        assert _preorder(cached) == _preorder(plain)
+
+
+def _bench_workloads():
+    """perfbench/workloads.py, which imports the benchmark's oracles as
+    the module oracles."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.modules["oracles"]
+    sys.modules["oracles"] = BENCH_ORACLES
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.modules["oracles"] = saved
+    return module
+
+
+THEOREMS = dict(_bench_workloads().theorems_inputs(1))
+UNLIMITED = ProverConfig(timeout_ms=60000)
+
+
+@pytest.mark.parametrize("src", [
+    *(pin["formula"] for _, pin in sorted(PINNED.items())),
+    *(src for _, src in sorted(THEOREMS.items())),
+], ids=[*(f"pinned-{name}" for name in sorted(PINNED)),
+        *(f"theorems-{name}" for name in sorted(THEOREMS))])
+def test_failure_cache_keeps_the_proof(src):
+    f = parse_formula(src)
+    _assert_same_search(lambda: prove(f, UNLIMITED))
+
+
+@given(_clause_sets)
+@settings(deadline=None, max_examples=200)
+def test_failure_cache_keeps_propositional_proofs(lit_lists):
+    clauses = [(Clause(tuple((s, Atom(a, ())) for s, a in lits)), "left")
+               for lits in lit_lists]
+    _assert_same_search(lambda: prove_clausal(clauses, UNLIMITED))
+
+
+# Random clause sets are mostly satisfiable and cut few subtrees.  The
+# negation of all(x, D) -> all(x, D'), D a disjunction of conjunctions
+# and D' the same permuted, is a product of clauses like the dnf
+# family's, in which the same goals fail again and again.
+
+def _eq_atoms(terms):
+    terms = st.sampled_from(terms)
+    return st.one_of(
+        terms.map(lambda t: Atom("p", (t,))),
+        st.tuples(terms, terms).map(lambda ts: Atom("q", ts)),
+        st.tuples(terms, terms).map(lambda ts: Eq(*ts)))
+
+
+_dnf_atoms = {
+    "propositional": st.sampled_from(ATOMS4).map(lambda a: Atom(a, ())),
+    "ground-equality": _eq_atoms([Fn("a"), Fn("b"), Fn("f", (Fn("a"),)),
+                                  Fn("f", (Fn("b"),))]),
+    "equality": _eq_atoms([Var("x"), Fn("a"), Fn("f", (Var("x"),))]),
+}
+
+
+def _dnf(disjuncts):
+    return Or(tuple(And(tuple(c)) if len(c) > 1 else c[0]
+                    for c in disjuncts))
+
+
+def _dnf_pairs(atoms):
+    lits = st.tuples(st.booleans(), atoms).map(
+        lambda la: la[1] if la[0] else Not(la[1]))
+    disjuncts = st.lists(st.lists(lits, min_size=1, max_size=2),
+                         min_size=2, max_size=4)
+    return disjuncts.flatmap(
+        lambda ds: st.tuples(st.just(ds), st.permutations(ds)))
+
+
+@pytest.mark.parametrize("vocabulary", sorted(_dnf_atoms))
+@given(data=st.data())
+@settings(deadline=None, max_examples=100)
+def test_failure_cache_keeps_dnf_proofs(vocabulary, data):
+    ds, perm = data.draw(_dnf_pairs(_dnf_atoms[vocabulary]))
+    f = Implies(ForAll(("x",), _dnf(ds)),
+                ForAll(("x",), _dnf([c[::-1] for c in perm])))
+    config = ProverConfig(timeout_ms=60000, max_depth=8,
+                          max_inferences=5000)
+    _assert_same_search(lambda: prove(f, config))
