@@ -35,7 +35,7 @@ from .interpolation import (
 )
 from .elimination import (
     EliminationOutcome, EliminationTask, ackermann_rewrite, eliminate,
-    eliminate_propositional, eliminate_staged, truth_simplify,
+    eliminate_staged, truth_simplify,
 )
 from .document import (
     Directive, DocumentError, LatexFragment, PieDocument, load_document,

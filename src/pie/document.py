@@ -385,8 +385,7 @@ def run_directive(d: Directive, pctx: ProcessingContext) -> DirectiveResult:
     try:
         f = expand(pctx.table, d.formula, pctx.ctx)
     except MacroError as e:
-        return DirectiveResult("failed", _failure_text(d, str(e), printing),
-                               detail=str(e))
+        return _failed(d, str(e), printing)
     if d.kind == "form":
         return DirectiveResult("ok", _display(f) if printing else "", f)
     try:
@@ -394,12 +393,14 @@ def run_directive(d: Directive, pctx: ProcessingContext) -> DirectiveResult:
             _int_option(opts, key)
             for key in ("timeout_ms", "max_depth", "model_size"))
     except ValueError as e:
-        return DirectiveResult(
-            "failed", _failure_text(d, _latex_text(str(e)), printing),
-            detail=str(e))
+        return _failed(d, str(e), printing)
     cfg = ProverConfig(timeout_ms=timeout_ms, max_depth=max_depth)
     if d.kind == "elim":
         elim_opts = opts.get("elim_options") or {}
+        if not isinstance(elim_opts, dict):
+            return _failed(
+                d, f"option elim_options={elim_opts} is not a list of "
+                "key=value pairs", printing)
         pre = elim_opts.get("pre")
         if isinstance(pre, list):
             pre = pre[0] if pre else None
@@ -408,18 +409,13 @@ def run_directive(d: Directive, pctx: ProcessingContext) -> DirectiveResult:
             simp = simp[0] if simp else None
         for key, name in (("pre", pre), ("simp_result", simp)):
             if name and not (isinstance(name, str) and name in PIPELINES):
-                msg = f"unknown pipeline {key}={name}"
-                return DirectiveResult(
-                    "failed", _failure_text(d, _latex_text(msg), printing),
-                    detail=msg)
+                return _failed(d, f"unknown pipeline {key}={name}", printing)
         task = EliminationTask(f, pre=pre, simp_result=simp,
                                timeout_ms=timeout_ms)
         out = eliminate(task)
         if out.status != "success":
-            return DirectiveResult(
-                "failed", _failure_text(d, f"elimination failed "
-                                        f"({out.status})", printing),
-                detail=out.reason)
+            return _failed(d, f"elimination failed ({out.status})", printing,
+                           out.reason)
         pctx.ctx.last_result = out.result
         text = ""
         if printing:
@@ -429,19 +425,23 @@ def run_directive(d: Directive, pctx: ProcessingContext) -> DirectiveResult:
         return DirectiveResult("ok", text, out.result)
     if d.kind == "ipol":
         if not isinstance(f, Implies):
-            return DirectiveResult(
-                "failed", _failure_text(d, "interpolation needs an "
-                                        "implication", printing),
-                detail="not an implication")
+            return _failed(d, "interpolation needs an implication", printing,
+                           "not an implication")
+        dot = opts.get("ip_dotgraph")
+        if dot and not isinstance(dot, str):
+            return _failed(
+                d, f"option ip_dotgraph={dot} is not a file name", printing)
         task = InterpolationTask(f.lhs, f.rhs,
                                  simp_sides=bool(opts["ip_simp_sides"]),
-                                 dot_path=opts.get("ip_dotgraph"))
-        out = interpolate(task, cfg)
+                                 dot_path=dot)
+        try:
+            out = interpolate(task, cfg)
+        except OSError as e:
+            return _failed(
+                d, f"cannot write ip_dotgraph={dot}: {e.strerror}", printing)
         if out.status != "interpolant":
-            return DirectiveResult(
-                "failed", _failure_text(d, f"interpolation failed "
-                                        f"({out.status})", printing),
-                detail=out.status)
+            return _failed(d, f"interpolation failed ({out.status})",
+                           printing, out.status)
         pctx.ctx.last_result = out.formula
         text = ""
         if printing:
@@ -483,11 +483,14 @@ def _latex_text(s: str) -> str:
     return s.translate(_LATEX_SPECIALS)
 
 
-def _failure_text(d: Directive, msg: str, printing: bool) -> str:
-    if not printing:
-        return ""
-    shown = _inline(d.formula)
-    return f"\\noindent {shown}\\\\\n{msg}."
+def _failed(d: Directive, msg: str, printing: bool,
+            detail: str | None = None) -> DirectiveResult:
+    """The failed result of d: msg, as LaTeX text after d's formula, and
+    detail (msg by default)."""
+    text = (f"\\noindent {_inline(d.formula)}\\\\\n{_latex_text(msg)}."
+            if printing else "")
+    return DirectiveResult("failed", text,
+                           detail=msg if detail is None else detail)
 
 
 def _render_macro_def(item: MacroDefStatement) -> str:

@@ -358,16 +358,6 @@ def _elim(f, ctx, task, deadline):
 
 
 # ---------------------------------------------------------------------------
-# Independent propositional oracle (Shannon expansion)
-
-def eliminate_propositional(p: str, f: Formula) -> Formula:
-    """∃p f for a nullary p by Shannon expansion."""
-    top = substitute_predicate(f, PredSpec(p, 0), Lambda((), TRUE))
-    bot = substitute_predicate(f, PredSpec(p, 0), Lambda((), FALSE))
-    return truth_simplify(Or((truth_simplify(top), truth_simplify(bot))))
-
-
-# ---------------------------------------------------------------------------
 # Staged driver for the 2-colorability example
 
 FO_COL2_SRC = ("all(x, (r(x) ; g(x))), "

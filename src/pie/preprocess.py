@@ -8,8 +8,6 @@ clausal form, simplify, and convert back; both preserve equivalence.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 import re
 import time
@@ -519,34 +517,35 @@ def _features(c: Clause) -> frozenset:
 
 def _drop_subsumed(clauses, deadline=math.inf):
     """The clauses that no other clause subsumes, in order; of clauses
-    that subsume each other only the first can be kept.
+    that subsume each other only the first is kept.
 
+    Given-clause order: shortest first, then by index.  A clause that a
+    kept clause subsumes is dropped; else it is kept and drops the kept
+    clauses of its length that it subsumes (they do not subsume it).
+    Kept clauses suffice as subsumes is transitive (over
+    SUBSUMPTION_SIZE_CAP literals it compares keys, and equal keys mean
+    equal lengths): what a dropped clause subsumes, a kept one does.
     subsumes(d, c) needs len(d) <= len(c) and _features(d) <= _features(c),
-    so c is compared only with such clauses: those of its own feature set
-    and of the proper subsets, which have fewer features.  They are taken
-    shortest first, then by feature set and index in order of appearance."""
-    groups = {}   # feature set -> indices of the clauses that have it
-    for i, c in enumerate(clauses):
-        groups.setdefault(_features(c), []).append(i)
-    size = [len(c) for c in clauses]
-    dropped = [False] * len(clauses)
-    by_count = sorted(groups, key=len)
-    counts = [len(k) for k in by_count]
-    for fs, group in groups.items():
-        smaller = by_count[:bisect.bisect_left(counts, len(fs))]
-        keys = sorted([k for k in smaller if k < fs] + [fs],
-                      key=lambda k: groups[k][0])
-        cands = sorted((j for k in keys for j in groups[k]),
-                       key=size.__getitem__)
-        for i in group:
-            check_deadline(deadline, "clausal simplification")
-            c = clauses[i]
-            dropped[i] = any(
-                j != i and subsumes(clauses[j], c)
-                and not (subsumes(c, clauses[j]) and j > i)
-                for j in itertools.takewhile(
-                    lambda j: size[j] <= size[i], cands))
-    return [c for c, d in zip(clauses, dropped) if not d]
+    so kept clauses are grouped by feature count and set, and c meets only
+    the groups of its own set, its subsets and its supersets."""
+    kept = {}   # feature count -> feature set -> indices of the kept clauses
+    for i in sorted(range(len(clauses)), key=lambda i: len(clauses[i])):
+        check_deadline(deadline, "clausal simplification")
+        c, fs = clauses[i], _features(clauses[i])
+        same = kept.get(len(fs), {}).get(fs, [])
+        below = [js for n, g in kept.items() if n < len(fs)
+                 for k, js in g.items() if k <= fs]
+        if any(subsumes(clauses[j], c) for js in [same, *below] for j in js):
+            continue
+        above = [js for n, g in kept.items() if n > len(fs)
+                 for k, js in g.items() if fs <= k]
+        for js in [same, *above]:
+            js[:] = [j for j in js if len(clauses[j]) < len(c)
+                     or not subsumes(c, clauses[j])]
+        same.append(i)
+        kept.setdefault(len(fs), {})[fs] = same
+    return [clauses[i] for i in sorted(
+        j for g in kept.values() for js in g.values() for j in js)]
 
 
 def _simplify_clause(c: Clause):

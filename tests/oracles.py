@@ -76,6 +76,17 @@ def truth_table(f, atoms):
     return tuple(rows)
 
 
+def exists_table(p, f, atoms):
+    """Truth table of ∃p f over atoms, which leave out p, by Shannon
+    expansion: a row is true if f is true there with p true or false."""
+    rows = []
+    for bits in itertools.product([False, True], repeat=len(atoms)):
+        env = dict(zip(atoms, bits))
+        rows.append(eval_prop(f, {**env, p: True})
+                    or eval_prop(f, {**env, p: False}))
+    return tuple(rows)
+
+
 def prop_equivalent(f, g):
     atoms = sorted(set(prop_atoms(f)) | set(prop_atoms(g)))
     return truth_table(f, atoms) == truth_table(g, atoms)

@@ -127,6 +127,40 @@ def test_process_survives_unknown_pipeline(capsys, tmp_path, option):
     assert out.count("is valid.") == 2
 
 
+@pytest.mark.parametrize("value", ["c6", "[c6]"])
+def test_process_survives_elim_options_not_pairs(capsys, tmp_path, value):
+    doc = tmp_path / "bad.pie"
+    doc.write_text(
+        ":- ppl_printtime(ppl_valid((p ; ~p))).\n"
+        ":- ppl_printtime(ppl_elim(ex2(p, (p, (p -> q(a)))), "
+        f"[elim_options={value}])).\n"
+        ":- ppl_printtime(ppl_valid((p -> p))).\n")
+    code, out, err = run(capsys, "process", str(doc))
+    assert code == 0
+    assert "Traceback" not in err
+    assert "is not a list of key=value pairs." in out
+    assert out.count("is valid.") == 2
+
+
+def test_process_survives_unwritable_dotgraph(capsys, tmp_path):
+    doc = tmp_path / "bad.pie"
+    dot = tmp_path / "missing" / "x.dot"
+    doc.write_text(
+        ":- ppl_printtime(ppl_valid((p ; ~p))).\n"
+        ":- ppl_printtime(ppl_ipol((p, q -> (p ; r)), "
+        f"[ip_dotgraph=printstyle('{dot}')])).\n"
+        ":- ppl_printtime(ppl_valid((p -> p))).\n")
+    code, out, err = run(capsys, "process", str(doc))
+    assert code == 0
+    assert err == ""
+    assert "No such file or directory." in out
+    assert out.count("is valid.") == 2
+    # the ipol subcommand writes the graph itself: a usage error
+    code, out, err = run(capsys, "ipol", "--dot", str(dot), "p, q -> (p ; r)")
+    assert code == 2
+    assert "No such file or directory" in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "process", "/nonexistent/x.pie")
     assert code == 2

@@ -127,6 +127,17 @@ def test_directive_failure_is_reported_not_raised():
     assert "interpolation needs" in r.text
 
 
+def test_failure_reasons_are_latex_text():
+    # the status not_valid and macro names were printed with a bare _,
+    # which LaTeX rejects
+    r, _ = run_one(":- ppl_printtime(ppl_ipol((p -> q))).\n")
+    assert r.status == "failed" and r.detail == "not_valid"
+    assert r.text.endswith("\ninterpolation failed (not\\_valid).")
+    r, _ = run_one("def(m_x(a)) :: p.\n:- ppl_printtime(ppl_valid(m_x(b))).\n")
+    assert r.detail == "no matching definition for m_x/1"
+    assert r.text.endswith("\nno matching definition for m\\_x/1.")
+
+
 def test_irreducible_second_order_directives_fail_alone():
     doc, table = load_document(
         ":- ppl_printtime(ppl_valid(ex2(p,p))).\n"
@@ -198,7 +209,7 @@ def test_non_integer_options_fail_their_directive_alone():
 ELIM_P = ":- ppl_printtime(ppl_elim(ex2(p, (p, (p -> q(a)))), [{}])).\n"
 ELIM_P_TEXT = ("\\noindent $\\exists \\mathit{{p}} \\, (\\mathsf{{p}} \\land "
                "(\\mathsf{{p}} \\rightarrow \\mathsf{{q}}(\\mathsf{{a}})))$\\\\\n"
-               "unknown pipeline {}.")
+               "{}.")
 
 
 @pytest.mark.parametrize("option, reason", [
@@ -210,7 +221,49 @@ def test_unknown_pipeline_fails_its_directive_alone(option, reason):
     # whole document was lost
     doc, table = load_document(VALID_P + ELIM_P.format(option) + VALID_P)
     assert process_document(doc, table).split("\n\n") == [
+        VALID_P_TEXT, ELIM_P_TEXT.format("unknown pipeline " + reason),
+        VALID_P_TEXT + "\n"]
+
+
+@pytest.mark.parametrize("value, shown", [("c6", "c6"), ("[c6]", "['c6']")])
+def test_elim_options_not_pairs_fails_its_directive_alone(value, shown):
+    # elim_options.get raised an AttributeError out of process_document,
+    # and the whole document was lost
+    doc, table = load_document(
+        VALID_P + ELIM_P.format(f"elim_options={value}") + VALID_P)
+    reason = (f"option elim\\_options={shown} is not a list of "
+              "key=value pairs")
+    assert process_document(doc, table).split("\n\n") == [
         VALID_P_TEXT, ELIM_P_TEXT.format(reason), VALID_P_TEXT + "\n"]
+
+
+IPOL_PQ = ":- ppl_printtime(ppl_ipol((p, q -> (p ; r)), [ip_dotgraph={}])).\n"
+IPOL_PQ_TEXT = ("\\noindent $\\mathsf{{p}} \\land \\mathsf{{q}} \\rightarrow "
+                "\\mathsf{{p}} \\lor \\mathsf{{r}}$\\\\\n{}.")
+
+
+def test_unwritable_dotgraph_fails_its_directive_alone(tmp_path):
+    # open() raised an OSError out of process_document, and the whole
+    # document was lost
+    path = tmp_path / "missing" / "x.dot"
+    doc, table = load_document(
+        VALID_P + IPOL_PQ.format(f"printstyle('{path}')") + VALID_P)
+    reason = (f"cannot write ip_dotgraph={path}: No such file or "
+              "directory").replace("_", "\\_")
+    assert process_document(doc, table).split("\n\n") == [
+        VALID_P_TEXT, IPOL_PQ_TEXT.format(reason), VALID_P_TEXT + "\n"]
+
+
+@pytest.mark.parametrize("value, shown", [("[a]", "['a']"), ("3", "3")])
+def test_dotgraph_that_is_no_file_name_fails_its_directive_alone(value,
+                                                                 shown):
+    # open() of a list raised a TypeError out of process_document, and
+    # open(3) wrote the DOT graph to file descriptor 3 and closed it
+    doc, table = load_document(
+        VALID_P + IPOL_PQ.format(value) + VALID_P)
+    reason = f"option ip\\_dotgraph={shown} is not a file name"
+    assert process_document(doc, table).split("\n\n") == [
+        VALID_P_TEXT, IPOL_PQ_TEXT.format(reason), VALID_P_TEXT + "\n"]
 
 
 # ---------------------------------------------------------------------------

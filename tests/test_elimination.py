@@ -11,8 +11,7 @@ from hypothesis import given
 
 from pie import preprocess
 from pie.elimination import (
-    EliminationTask, eliminate, eliminate_propositional, eliminate_staged,
-    truth_simplify,
+    EliminationTask, eliminate, eliminate_staged, truth_simplify,
 )
 from pie.formula import (
     Context, Exists2, Falsity, PredSpec, Truth, free_symbols,
@@ -22,7 +21,7 @@ from pie.macros import expand
 from pie.syntax import parse_formula, print_text
 
 from oracles import (
-    fo_equivalent, prop_atoms, prop_corpus, truth_table,
+    exists_table, fo_equivalent, prop_atoms, prop_corpus, truth_table,
 )
 from test_formula import prop_formulas
 from test_macros import CIRC, table_from
@@ -311,11 +310,10 @@ def test_circumscription_of_longer_chain(simp):
 # ---------------------------------------------------------------------------
 # Propositional oracle: Shannon expansion
 
-def test_eliminate_propositional_is_shannon():
+def test_exists_table_is_shannon():
     f = parse_formula("(p -> q), (r -> p)")
-    g = eliminate_propositional("p", f)
     atoms = ["q", "r"]
-    assert truth_table(g, atoms) == \
+    assert exists_table("p", f, atoms) == \
         truth_table(parse_formula("(true -> q), (r -> true) ; "
                                   "(false -> q), (r -> false)"), atoms)
 
@@ -328,13 +326,12 @@ def test_dls_agrees_with_shannon_on_corpus():
         if "p" not in atoms:
             continue
         rest = [a for a in atoms if a != "p"]
-        shannon = eliminate_propositional("p", f)
         out = eliminate(EliminationTask(
             Exists2((PredSpec("p", 0),), f)))
         assert out.status == "success", print_text(f)
         assert is_first_order(out.result)
         assert not has_pred(out.result, "p")
-        assert truth_table(out.result, rest) == truth_table(shannon, rest), \
+        assert truth_table(out.result, rest) == exists_table("p", f, rest), \
             print_text(f)
         checked += 1
     assert checked >= 150
