@@ -1,9 +1,13 @@
 """Literate document processing: PIE source files interleaving macro
 definitions, reasoner directives, and LaTeX prose, rendered to LaTeX.
 
-Statements are terminated by `.`; block comments `/* ... */` between
-statements pass through as LaTeX fragments.  Documents are loaded
-completely (building the macro table) before any directive runs.
+A document is tokenized once, by syntax.tokenize.  A statement is the
+tokens up to a stop token (a `.` before whitespace or the end of the
+source), and a Parser reads them.  A block comment `/* ... */` before a
+statement's first token passes through as a LaTeX fragment; one inside a
+statement is ignored, as are `%` line comments.  Errors in reading a
+document give their line and column in it.  Documents are loaded completely
+(building the macro table) before any directive runs.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .macros import (
 )
 from .preprocess import PIPELINES
 from .prover import ProverConfig, validate
-from .syntax import ParseError, Parser, print_latex
+from .syntax import ParseError, Parser, Token, print_latex, tokenize
 
 
 class DocumentError(Exception):
@@ -61,83 +65,22 @@ class PieDocument:
 
 
 # ---------------------------------------------------------------------------
-# Statement scanner
-
-def _scan_statements(src: str):
-    """Split source into ('fragment', text) / ('statement', text) parts."""
-    out = []
-    i, n = 0, len(src)
-    buf = []
-    buf_start = 0
-
-    def buf_blank():
-        return not "".join(buf).strip()
-
-    while i < n:
-        ch = src[i]
-        if ch == "%":
-            j = src.find("\n", i)
-            i = n if j < 0 else j + 1
-            buf.append(" ")
-            continue
-        if src.startswith("/*", i):
-            j = src.find("*/", i + 2)
-            if j < 0:
-                raise DocumentError("unterminated block comment")
-            if buf_blank():
-                out.append(("fragment", src[i + 2:j]))
-            i = j + 2
-            continue
-        if ch == "'":
-            j = src.find("'", i + 1)
-            if j < 0:
-                raise DocumentError("unterminated quoted atom")
-            buf.append(src[i:j + 1])
-            i = j + 1
-            continue
-        if ch == "." and (i + 1 >= n or src[i + 1].isspace()):
-            stmt = "".join(buf).strip()
-            if stmt:
-                out.append(("statement", stmt))
-            buf = []
-            i += 1
-            continue
-        buf.append(ch)
-        i += 1
-    if not buf_blank():
-        raise DocumentError("source ends inside a statement "
-                            "(missing final '.')")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Statement parsing
 
-def _parse_def(stmt: str) -> MacroDefinition:
-    p = Parser(stmt)
-    t = p.next()
-    if not (t.kind == "name" and t.text == "def"):
-        raise ParseError("expected 'def'", t.pos)
+def _parse_def(p: Parser) -> MacroDefinition:
+    p.next()    # 'def'
     p.expect("(")
     name = p._name()
     params = []
-    if p.at("("):
-        p.next()
-        params.append(p.parse_arg(frozenset()))
-        while p.at(","):
-            p.next()
-            params.append(p.parse_arg(frozenset()))
-        p.expect(")")
+    if p.accept("("):
+        params = p.parse_list(lambda: p.parse_arg(frozenset()), ")",
+                              empty=False)
     p.expect(")")
     p.expect("::")
     template = p.parse_formula()
     steps = []
-    if p.at("::-"):
-        p.next()
-        steps.append(_parse_step(p))
-        while p.at(","):
-            p.next()
-            steps.append(_parse_step(p))
+    if p.accept("::-"):
+        steps = p.parse_list(lambda: _parse_step(p), None, empty=False)
     p.check_end()
     return MacroDefinition(name, tuple(params), template, tuple(steps))
 
@@ -151,14 +94,9 @@ def _parse_step(p: Parser) -> BuiltinCall:
         raise ParseError(f"unknown builtin {name!r} in macro body", t.pos)
     n_in, n_out = BUILTINS[name]
     args = []
-    if p.at("("):
-        p.next()
-        if not p.at(")"):
-            args.append(p.parse_arg(frozenset()))
-            while p.at(","):
-                p.next()
-                args.append(p.parse_arg(frozenset()))
-        p.expect(")")
+    if p.accept("("):
+        args = p.parse_list(lambda: p.parse_arg(frozenset()), ")",
+                            empty=True)
     if len(args) != n_in + n_out:
         raise ParseError(
             f"builtin {name!r} takes {n_in + n_out} arguments", t.pos)
@@ -185,17 +123,14 @@ _DIRECTIVE_KINDS = {"ppl_elim": "elim", "ppl_ipol": "ipol",
                     "ppl_valid": "valid", "ppl_form": "form"}
 
 
-def _parse_directive(stmt: str):
-    p = Parser(stmt)
+def _parse_directive(p: Parser, source: str):
     p.expect(":-")
     t = p.next()
     if t.kind != "name":
         raise ParseError("expected a directive name", t.pos)
     if t.text == "ppl_default":
         p.expect("(")
-        key = p._name()
-        p.expect("=")
-        value = _parse_option_value(p)
+        key, value = _parse_pair(p)
         p.expect(")")
         p.check_end()
         return ConfigDefault(key, value)
@@ -214,59 +149,38 @@ def _parse_directive(stmt: str):
         from .macros import as_formula
         formula = as_formula(formula)
     options = {}
-    if p.at(","):
-        p.next()
-        options = _parse_options(p)
+    if p.accept(","):
+        p.expect("[")
+        options = dict(p.parse_list(lambda: _parse_pair(p), "]", empty=True))
     p.expect(")")
     p.expect(")")
     p.check_end()
-    return Directive(kind, formula, options, stmt)
+    return Directive(kind, formula, options, source)
 
 
-def _parse_options(p: Parser) -> dict:
-    p.expect("[")
-    opts = {}
-    if not p.at("]"):
-        while True:
-            key = p._name()
-            p.expect("=")
-            opts[key] = _parse_option_value(p)
-            if p.at(","):
-                p.next()
-                continue
-            break
-    p.expect("]")
-    return opts
+def _parse_pair(p: Parser):
+    key = p._name()
+    p.expect("=")
+    return key, _parse_option_value(p)
+
+
+def _at_pair(p: Parser) -> bool:
+    return p.peek().kind == "name" and p.tokens[p.i + 1].text == "="
 
 
 def _parse_option_value(p: Parser):
-    if p.at("["):
-        p.next()
-        items = []
-        pairs = {}
-        if not p.at("]"):
-            while True:
-                t = p.peek()
-                if t.kind == "name":
-                    nxt = p.tokens[p.i + 1]
-                    if nxt.kind == "op" and nxt.text == "=":
-                        p.next()
-                        p.next()
-                        pairs[t.text] = _parse_option_value(p)
-                        items.append(None)
-                        if p.at(","):
-                            p.next()
-                            continue
-                        break
-                items.append(_parse_option_value(p))
-                if p.at(","):
-                    p.next()
-                    continue
-                break
-        p.expect("]")
-        if pairs and all(x is None for x in items):
-            return pairs
-        return [x for x in items if x is not None]
+    """A number, true or false, a name, a quoted atom, the argument of a
+    wrapper call such as printstyle('/path'), or a bracketed list: of
+    values (a list) or of key=value pairs (a dict), not of both."""
+    if p.accept("["):
+        pairs = _at_pair(p)
+
+        def item():
+            if _at_pair(p) != pairs:
+                p.error("option list mixes values and key=value pairs")
+            return _parse_pair(p) if pairs else _parse_option_value(p)
+        items = p.parse_list(item, "]", empty=True)
+        return dict(items) if pairs else items
     t = p.next()
     if t.kind == "quoted":
         return t.text.strip("'")
@@ -278,9 +192,7 @@ def _parse_option_value(p: Parser):
         return False
     if t.text.isdigit():
         return int(t.text)
-    if p.at("("):
-        # wrapper call such as printstyle('/path'): take the argument
-        p.next()
+    if p.accept("("):
         inner = _parse_option_value(p)
         p.expect(")")
         return inner
@@ -303,26 +215,34 @@ def load_document(src: str):
     and defines nothing."""
     items = []
     table = MacroTable()
-    for kind, text in _scan_statements(src):
-        if kind == "fragment":
-            items.append(LatexFragment(text))
-            continue
-        if text.startswith(":-"):
-            try:
-                items.append(_parse_directive(text))
-            except RecursionError:
-                items.append(LatexFragment(TOO_DEEP))
-            continue
-        if text.startswith("def"):
-            try:
-                mdef = _parse_def(text)
-                table = define_macro(table, mdef)
-            except RecursionError:
-                items.append(LatexFragment(DEF_TOO_DEEP))
-                continue
-            items.append(MacroDefStatement(mdef, text))
-            continue
-        raise DocumentError(f"cannot classify statement: {text[:60]!r}")
+    stmt = []   # the tokens of the statement read so far
+    for t in tokenize(src):
+        if t.kind == "comment" and not stmt:
+            items.append(LatexFragment(t.text[2:-2]))
+        elif t.kind not in ("stop", "end"):
+            stmt.append(t)
+        elif stmt:
+            if t.kind == "end":
+                raise DocumentError("source ends inside the statement at "
+                                    f"{stmt[0].pos} (missing final '.')")
+            p = Parser(stmt + [Token("end", "", t.pos)])
+            stmt = []
+            source = " ".join(x.text for x in p.tokens[:-1])
+            if p.at(":-"):
+                try:
+                    items.append(_parse_directive(p, source))
+                except RecursionError:
+                    items.append(LatexFragment(TOO_DEEP))
+            elif p.peek().text == "def":
+                try:
+                    mdef = _parse_def(p)
+                    table = define_macro(table, mdef)
+                    items.append(MacroDefStatement(mdef, source))
+                except RecursionError:
+                    items.append(LatexFragment(DEF_TOO_DEEP))
+            else:
+                raise DocumentError("cannot classify the statement at "
+                                    f"{p.peek().pos}: {source[:60]!r}")
     return PieDocument(items), table
 
 

@@ -365,10 +365,8 @@ FO_COL2_SRC = ("all(x, (r(x) ; g(x))), "
 
 
 def _fo_col2(espec) -> Formula:
-    from .syntax import Parser
-    parser = Parser(FO_COL2_SRC)
-    f = parser.parse_formula()
-    parser.check_end()
+    from .syntax import parse_formula
+    f = parse_formula(FO_COL2_SRC)
     if isinstance(espec, str):
         return substitute_predicate(f, PredSpec("E", 2), espec)
     if isinstance(espec, Lambda):

@@ -168,7 +168,7 @@ def _distinct(clauses, deadline):
     def order(lit):     # clauses share their literal objects
         r = reprs.get(id(lit))
         if r is None:
-            r = reprs[id(lit)] = (lit, re.sub(r"Var\(\w+\)", "V", repr(lit)))
+            r = reprs[id(lit)] = (lit, _literal_order(lit))
         return r[1]
 
     for c in clauses:
@@ -376,9 +376,15 @@ def _mk_clause(lits):
     return Clause(tuple(out))
 
 
-def _clause_key(c: Clause, order=repr):
-    """c up to variable names: its literals sorted by order (their repr,
-    or a function that gives the same), variables named by first use."""
+def _literal_order(lit) -> str:
+    """The repr of lit with its variable names left out."""
+    return re.sub(r"Var\(\w+\)", "V", repr(lit))
+
+
+def _clause_key(c: Clause, order=_literal_order):
+    """c up to variable names: its literals sorted by order
+    (_literal_order, or a function that gives the same), variables named
+    by first use."""
     ren = {}
     parts = []
     lits = sorted(c.literals, key=order) if len(c) > 1 else c.literals

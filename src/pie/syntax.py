@@ -6,6 +6,13 @@ Operator precedences, loosest to tightest: '<->', '->', ';', ',', '~'.
 And/Or.  Identifiers starting lowercase (or digits) are constants,
 functions and predicates; capitalized identifiers are macro parameters.
 Names bound by all/ex/lambda become variables within their scope.
+
+One tokenizer serves formulas and whole documents (see document.py).
+Besides names, quoted atoms and operators it knows '%' line comments,
+which it drops, '/* ... */' block comments, which the parser skips, and
+the statement terminator: a '.' before whitespace or the end of the
+input.  Token positions, and so parse errors, are line:column in the
+whole input.
 """
 
 from __future__ import annotations
@@ -38,20 +45,26 @@ class ParseError(Exception):
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+|%[^\n]*)
+  | (?P<comment>/\*.*?\*/)
+  | (?P<stop>\.(?=\s|\Z))
   | (?P<name>[a-zA-Z_][a-zA-Z0-9_]*|\d+)
   | (?P<quoted>'[^']*')
+  | (?P<open>/\*|')
   | (?P<op>::-|::|:-|<->|->|\\=|[()\[\],;~=./\-])
-""", re.VERBOSE)
+""", re.VERBOSE | re.DOTALL)
 
 
 @dataclass
 class Token:
-    kind: str  # 'name' | 'op' | 'quoted' | 'end'
+    kind: str  # 'name' | 'op' | 'quoted' | 'comment' | 'stop' | 'end'
     text: str
     pos: SourcePosition
 
 
 def tokenize(src: str):
+    """The tokens of src, whitespace and '%' comments left out, then an
+    'end' token.  A '/* ... */' block is a 'comment' token, and a '.'
+    before whitespace or the end of src a 'stop' token."""
     tokens = []
     i, line, col = 0, 1, 1
     n = len(src)
@@ -62,6 +75,9 @@ def tokenize(src: str):
                              SourcePosition(line, col))
         text = m.group(0)
         kind = m.lastgroup
+        if kind == "open":
+            what = "quoted atom" if text == "'" else "block comment"
+            raise ParseError(f"unterminated {what}", SourcePosition(line, col))
         if kind != "ws":
             tokens.append(Token(kind, text, SourcePosition(line, col)))
         nl = text.count("\n")
@@ -75,11 +91,16 @@ def tokenize(src: str):
     return tokens
 
 
-class Parser:
-    """Recursive-descent parser over the token list."""
+_BINDERS = {"all": ForAll, "ex": Exists, "all2": ForAll2, "ex2": Exists2,
+            "lambda": Lambda}
 
-    def __init__(self, src: str):
-        self.tokens = tokenize(src)
+
+class Parser:
+    """Recursive-descent parser over a token list that ends with an 'end'
+    token; comment tokens are skipped."""
+
+    def __init__(self, tokens):
+        self.tokens = [t for t in tokens if t.kind != "comment"]
         self.i = 0
 
     # -- token plumbing
@@ -96,14 +117,32 @@ class Parser:
         t = self.peek()
         return t.kind == "op" and t.text == text
 
+    def accept(self, text) -> bool:
+        """Consume the operator text if it comes next."""
+        if self.at(text):
+            self.i += 1
+            return True
+        return False
+
     def expect(self, text) -> Token:
         t = self.next()
-        if t.kind == "end" or not (t.kind == "op" and t.text == text):
+        if not (t.kind == "op" and t.text == text):
             raise ParseError(f"expected {text!r}, found {t.text!r}", t.pos)
         return t
 
     def error(self, msg):
         raise ParseError(msg, self.peek().pos)
+
+    def parse_list(self, item, close, *, empty):
+        """The items of a ','-separated list, each read by item(), then
+        the operator close unless it is None.  The list is empty only if
+        empty is set and close comes first."""
+        out = [] if empty and self.at(close) else [item()]
+        while self.accept(","):
+            out.append(item())
+        if close is not None:
+            self.expect(close)
+        return out
 
     # -- formula grammar
 
@@ -112,187 +151,112 @@ class Parser:
 
     def parse_iff(self, env):
         lhs = self.parse_impl(env)
-        if self.at("<->"):
-            self.next()
+        if self.accept("<->"):
             return Iff(lhs, self.parse_iff(env))
         return lhs
 
     def parse_impl(self, env):
         lhs = self.parse_disj(env)
-        if self.at("->"):
-            self.next()
+        if self.accept("->"):
             return Implies(lhs, self.parse_impl(env))
         return lhs
 
     def parse_disj(self, env):
         parts = [self.parse_conj(env)]
-        while self.at(";"):
-            self.next()
+        while self.accept(";"):
             parts.append(self.parse_conj(env))
-        if len(parts) == 1:
-            return parts[0]
-        out = []
-        for p in parts:
-            out.extend(p.args if isinstance(p, Or) else (p,))
-        return Or(tuple(out))
+        return _flat(Or, parts)
 
     def parse_conj(self, env):
         parts = [self.parse_neg(env)]
-        while self.at(","):
-            self.next()
+        while self.accept(","):
             parts.append(self.parse_neg(env))
-        if len(parts) == 1:
-            return parts[0]
-        out = []
-        for p in parts:
-            out.extend(p.args if isinstance(p, And) else (p,))
-        return And(tuple(out))
+        return _flat(And, parts)
 
     def parse_neg(self, env):
-        if self.at("~"):
-            self.next()
+        if self.accept("~"):
             return Not(self.parse_neg(env))
         return self.parse_primary(env)
 
     def parse_primary(self, env) -> Formula:
-        t = self.peek()
-        if t.kind == "op" and t.text == "(":
-            self.next()
+        if self.accept("("):
             f = self.parse_formula(env)
             self.expect(")")
-            return self._maybe_eq(f, env)
+            return self._eq_tail(_as_term(f), env) or f
+        t = self.peek()
         if t.kind != "name" and t.kind != "quoted":
             self.error(f"expected a formula, found {t.text!r}"
                        if t.kind != "end" else "unexpected end of input")
         name = self.next().text
-        if name == "true" and not self.at("("):
-            return TRUE
-        if name == "false" and not self.at("("):
-            return FALSE
-        if name in ("all", "ex") and self.at("("):
-            self.next()
-            vars_ = self.parse_name_list()
+        if name in ("true", "false") and not self.at("("):
+            return TRUE if name == "true" else FALSE
+        cls = _BINDERS.get(name)
+        if cls and self.accept("("):
+            names = tuple(self.parse_name_list())
             self.expect(",")
-            body = self.parse_formula(env | set(vars_))
+            if cls in (ForAll2, Exists2):
+                body = self.parse_formula(env)
+                names = tuple(map(PredSpec, names))
+            else:
+                body = self.parse_formula(env | set(names))
             self.expect(")")
-            cls = ForAll if name == "all" else Exists
-            return cls(tuple(vars_), body)
-        if name in ("all2", "ex2") and self.at("("):
-            self.next()
-            preds = tuple(PredSpec(n) for n in self.parse_name_list())
-            self.expect(",")
-            body = self.parse_formula(env)
-            self.expect(")")
-            cls = ForAll2 if name == "all2" else Exists2
-            return cls(preds, body)
-        if name == "lambda" and self.at("("):
-            self.next()
-            params = self.parse_name_list()
-            self.expect(",")
-            body = self.parse_formula(env | set(params))
-            self.expect(")")
-            return Lambda(tuple(params), body)
+            return cls(names, body)
         # plain atom / term head / macro call
-        if self.at("("):
-            self.next()
-            args = [self.parse_arg(env)]
-            while self.at(","):
-                self.next()
-                args.append(self.parse_arg(env))
-            self.expect(")")
-            terms = _coerce_terms(args)
-            if terms is not None:
-                return self._maybe_eq_atom(name, terms, env)
-            return MacroCall(name, tuple(args))
-        return self._maybe_eq_atom(name, (), env)
-
-    def _maybe_eq_atom(self, name, args, env):
-        term = Var(name) if (name in env and not args) else Fn(name, tuple(args))
-        if self.at("="):
-            self.next()
-            rhs = self.parse_term(env)
-            return Eq(term, rhs)
-        if self.at("\\="):
-            self.next()
-            rhs = self.parse_term(env)
-            return Not(Eq(term, rhs))
-        if isinstance(term, Var):
+        args = ()
+        if self.accept("("):
+            args = tuple(self.parse_list(lambda: self.parse_arg(env), ")",
+                                         empty=False))
+            terms = tuple(map(_as_term, args))
+            if None in terms:
+                return MacroCall(name, args)
+            args = terms
+        term = Var(name) if (name in env and not args) else Fn(name, args)
+        eq = self._eq_tail(term, env)
+        if eq is None and isinstance(term, Var):
             # a bound variable standing alone cannot be an atom
             self.error(f"variable {name!r} used as a formula")
-        return Atom(name, tuple(args))
+        return eq or Atom(name, args)
 
-    def _maybe_eq(self, f, env):
-        if self.at("=") or self.at("\\="):
-            t = _formula_to_term(f)
-            if t is None:
-                self.error("left side of '=' is not a term")
-            negated = self.at("\\=")
-            self.next()
-            rhs = self.parse_term(env)
-            eq = Eq(t, rhs)
-            return Not(eq) if negated else eq
-        return f
+    def _eq_tail(self, lhs, env):
+        """lhs=rhs, or ~lhs=rhs after '\\=', if an equality sign follows,
+        else None.  lhs is None if the left side is no term."""
+        t = self.peek()
+        if t.kind != "op" or t.text not in ("=", "\\="):
+            return None
+        if lhs is None:
+            self.error("left side of '=' is not a term")
+        self.next()
+        eq = Eq(lhs, self.parse_term(env))
+        return Not(eq) if t.text == "\\=" else eq
 
     def parse_arg(self, env):
         """One argument of a compound: a bracketed list or a formula at
         argument precedence (no top-level ','/';'/'->').  Infix '/' and
         '-' are accepted for spec terms like p/1-n."""
-        if self.at("["):
-            return tuple(self.parse_bracket_list(env))
+        if self.accept("["):
+            return tuple(self.parse_list(lambda: self.parse_arg(env), "]",
+                                         empty=True))
         t = self.peek()
-        if t.kind == "name" and t.text in env:
-            la = self.tokens[self.i + 1]
-            if not (la.kind == "op" and la.text == "("):
-                self.next()
-                if self.at("=") or self.at("\\="):
-                    negated = self.at("\\=")
-                    self.next()
-                    rhs = self.parse_term(env)
-                    eq = Eq(Var(t.text), rhs)
-                    return Not(eq) if negated else eq
-                item = Var(t.text)
-                while self.at("/") or self.at("-"):
-                    op = self.next().text
-                    rhs = self.parse_neg(env)
-                    rt = _formula_to_term(rhs) if isinstance(rhs, Formula) \
-                        else rhs
-                    if rt is None:
-                        self.error(f"bad operand for {op!r}")
-                    item = Fn(op, (item, rt))
-                return item
-        item = self.parse_neg(env)
+        if t.kind == "name" and t.text in env \
+                and self.tokens[self.i + 1].text != "(":
+            self.next()
+            item = Var(t.text)
+            eq = self._eq_tail(item, env)
+            if eq is not None:
+                return eq
+        else:
+            item = self.parse_neg(env)
         while self.at("/") or self.at("-"):
             op = self.next().text
-            rhs = self.parse_neg(env)
-            lt = _formula_to_term(item) if isinstance(item, Formula) else item
-            rt = _formula_to_term(rhs) if isinstance(rhs, Formula) else rhs
+            lt, rt = _as_term(item), _as_term(self.parse_neg(env))
             if lt is None or rt is None:
                 self.error(f"bad operand for {op!r}")
             item = Fn(op, (lt, rt))
         return item
 
-    def parse_bracket_list(self, env):
-        self.expect("[")
-        items = []
-        if not self.at("]"):
-            items.append(self.parse_arg(env))
-            while self.at(","):
-                self.next()
-                items.append(self.parse_arg(env))
-        self.expect("]")
-        return items
-
     def parse_name_list(self):
-        if self.at("["):
-            self.next()
-            names = []
-            if not self.at("]"):
-                names.append(self._name())
-                while self.at(","):
-                    self.next()
-                    names.append(self._name())
-            self.expect("]")
-            return names
+        if self.accept("["):
+            return self.parse_list(self._name, "]", empty=True)
         return [self._name()]
 
     def _name(self):
@@ -302,26 +266,19 @@ class Parser:
         return t.text.strip("'") if t.kind == "quoted" else t.text
 
     def parse_term(self, env) -> Term:
-        t = self.peek()
-        if t.kind == "op" and t.text == "(":
-            self.next()
+        if self.accept("("):
             inner = self.parse_term(env)
             self.expect(")")
             return inner
+        t = self.peek()
         if t.kind != "name":
             self.error(f"expected a term, found {t.text!r}")
         name = self.next().text
-        if self.at("("):
-            self.next()
-            args = [self.parse_term(env)]
-            while self.at(","):
-                self.next()
-                args.append(self.parse_term(env))
-            self.expect(")")
-            return Fn(name, tuple(args))
-        if name in env:
-            return Var(name)
-        return Fn(name)
+        if self.accept("("):
+            return Fn(name, tuple(
+                self.parse_list(lambda: self.parse_term(env), ")",
+                                empty=False)))
+        return Var(name) if name in env else Fn(name)
 
     def check_end(self):
         t = self.peek()
@@ -329,28 +286,26 @@ class Parser:
             self.error(f"unexpected {t.text!r} after formula")
 
 
-def _formula_to_term(f):
-    """View a formula parsed as an atom back as a term, if possible."""
-    if isinstance(f, Atom):
-        return Fn(f.pred, f.args)
+def _flat(cls, parts):
+    """The one part, or cls over the parts with those of class cls
+    spliced in."""
+    if len(parts) == 1:
+        return parts[0]
+    return cls(tuple(a for p in parts
+                     for a in (p.args if isinstance(p, cls) else (p,))))
+
+
+def _as_term(x):
+    """x as a term: a term itself, an atom read back as one, else None."""
+    if isinstance(x, Term):
+        return x
+    if isinstance(x, Atom):
+        return Fn(x.pred, x.args)
     return None
 
 
-def _coerce_terms(args):
-    """If every parsed argument reads as a term, return the term tuple."""
-    out = []
-    for a in args:
-        if isinstance(a, Term):
-            out.append(a)
-        elif isinstance(a, Atom):
-            out.append(_formula_to_term(a))
-        else:
-            return None
-    return tuple(out)
-
-
 def parse_formula(src: str) -> Formula:
-    p = Parser(src)
+    p = Parser(tokenize(src))
     f = p.parse_formula()
     p.check_end()
     _check_arities(f)
@@ -358,7 +313,7 @@ def parse_formula(src: str) -> Formula:
 
 
 def parse_term(src: str) -> Term:
-    p = Parser(src)
+    p = Parser(tokenize(src))
     t = p.parse_term(frozenset())
     p.check_end()
     return t

@@ -11,14 +11,14 @@ import os
 import re
 import time
 
-from pie.document import _parse_def, process_file
+from pie.document import load_document, process_file
 from pie.elimination import EliminationTask, eliminate, eliminate_staged
 from pie.formula import (
     Context, Exists2, Implies, Lambda, PredSpec, free_symbols,
     is_first_order, neg,
 )
 from pie.interpolation import InterpolationTask, interpolate
-from pie.macros import MacroTable, define_macro, expand
+from pie.macros import expand
 from pie.preprocess import clausify
 from pie.prover import (
     ProverConfig, check_tableau, find_countermodel, prove,
@@ -64,8 +64,7 @@ def pred_names(f):
 
 
 def macro_table():
-    table = MacroTable()
-    for stmt in [
+    _, table = load_document("".join(stmt + ".\n" for stmt in [
         "def(kb1) :: (sprinkler_was_on -> wet(grass)), "
         "(rained_last_night -> wet(grass)), (wet(grass) -> wet(shoes))",
         "def(explanation(Kb, Na, Ob)) :: all2(Na, (Kb -> Ob))",
@@ -78,8 +77,7 @@ F, ~ex2(P_p, (F_p, T1, ~T2)) ::-
         "def(kb2) :: all(x, (p(x) -> q(x), s(x))), "
         "all(x, (s(x) -> r(x))), all(x, (q(x), r(x) -> p(x)))",
         "def(definiens(G, F, P)) :: (ex2(P, (F, G)) -> all2(P, (F -> G)))",
-    ]:
-        table = define_macro(table, _parse_def(stmt))
+    ]))
     return table
 
 

@@ -2,6 +2,7 @@
 
 import io
 import os
+import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -231,5 +232,45 @@ def test_cli_answers_any_input_within_its_budget(cmd, text):
     with redirect_stdout(out), redirect_stderr(err):
         code = main([cmd, text, "--timeout", "200"])
     assert time.monotonic() - t0 < 1.2 * 0.2 + 0.05
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("value", ["[c6, pre=d6]", "[pre=d6, c6]"])
+def test_process_rejects_option_list_of_values_and_pairs(capsys, tmp_path,
+                                                         value):
+    doc = tmp_path / "mixed.pie"
+    doc.write_text(
+        ":- ppl_printtime(ppl_elim(ex2(p, (p, (p -> q(a)))), "
+        f"[elim_options={value}])).\n")
+    code, out, err = run(capsys, "process", str(doc))
+    assert code == 2 and out == ""
+    assert err.startswith("error: option list mixes values and key=value "
+                          "pairs at 1:")
+
+
+# Pieces of PIE documents: whole statements, the terminator with and
+# without whitespace after it, quotes, and both kinds of comment
+_DOC_PIECES = st.lists(st.sampled_from(
+    ["def(m) :: p", "def(n(X)) :: X, q",
+     ":- ppl_printtime(ppl_valid((p ; ~p)))",
+     ":- ppl_printtime(ppl_form(n(r)))",
+     ":- ppl_printtime(ppl_elim(ex2(p, (p, (p -> q(a)))), "
+     "[elim_options=[pre=c6]]))", ".", ". ", ".\n", "'",
+     "'a. b'", "% note\n", "/*", "*/", "/* prose. */", "\n", " ", "(", ")",
+     "[", "]", ",", "=", "::", ":-", "p", "m"]),
+    max_size=16).map("".join)
+
+
+@given(_DOC_PIECES)
+@settings(deadline=None, max_examples=100)
+def test_process_answers_any_document(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.pie")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(":- ppl_default(timeout_ms=200).\n" + text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["process", path])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()

@@ -3,6 +3,7 @@
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pie.document import (
     DEF_TOO_DEEP, TOO_DEEP, ConfigDefault, Directive, DocumentError,
@@ -10,7 +11,9 @@ from pie.document import (
     process_document, process_file, run_directive,
 )
 from pie.formula import Atom, Implies
-from pie.syntax import ParseError
+from pie.syntax import ParseError, parse_formula, print_text
+
+from oracles import prop_corpus
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                        "workbench.pie")
@@ -79,6 +82,78 @@ def test_ppl_default():
     (d,) = doc.items
     assert isinstance(d, ConfigDefault)
     assert (d.key, d.value) == ("timeout_ms", 1234)
+
+
+@pytest.mark.parametrize("value, column", [
+    ("[c6, pre=d6]", 72), ("[pre=d6, c6]", 76)])
+def test_option_list_of_values_and_pairs_rejected(value, column):
+    # both lists loaded as ['c6'], the pair lost
+    with pytest.raises(ParseError) as e:
+        load_document(":- ppl_printtime(ppl_elim(ex2(p, (p, (p -> q(a)))), "
+                      f"[elim_options={value}])).\n")
+    assert e.value.message == "option list mixes values and key=value pairs"
+    assert str(e.value.pos) == f"1:{column}"
+
+
+@pytest.mark.parametrize("statement, where", [
+    ("def(m) :: p ->.", "5:15"),
+    (":- ppl_printtime(ppl_valid((p ;; q))).", "5:32"),
+])
+def test_parse_errors_give_positions_in_the_document(statement, where):
+    src = "/* prose */\n\ndef(n) :: q.\n% a comment\n" + statement + "\n"
+    with pytest.raises(ParseError) as e:
+        load_document(src)
+    assert str(e.value.pos) == where
+
+
+@pytest.mark.parametrize("src, where", [
+    ("def(m) :: p.\n\n  def(n) :: q", "at 3:3 (missing final '.')"),
+    ("def(m) :: p.\n frob(x).\n", "at 2:2: "),
+])
+def test_statement_errors_give_positions_in_the_document(src, where):
+    with pytest.raises(DocumentError) as e:
+        load_document(src)
+    assert where in str(e.value)
+
+
+@pytest.mark.parametrize("src, message, where", [
+    ("def(m) :: p.\n def(n) :: 'p.\n", "unterminated quoted atom", "2:12"),
+    ("def(m) :: p.\n\n  /* prose\n", "unterminated block comment", "3:3"),
+])
+def test_unterminated_quote_or_comment_rejected(src, message, where):
+    with pytest.raises(ParseError) as e:
+        load_document(src)
+    assert (e.value.message, str(e.value.pos)) == (message, where)
+
+
+# first-order formulas, one with a quoted atom that holds a terminator
+FO_SOURCES = ["all(x, (p(x) -> ex(y, r(x,y))))",
+              "ex2(p, (p(a), all(x, (p(x) -> x=a))))",
+              "all([x,y], (e(x,y) -> ~(r(x), r(y))))",
+              "'a. b'(c) ; c \\= d"]
+
+
+@given(st.lists(st.one_of(st.sampled_from(prop_corpus(400)).map(print_text),
+                          st.sampled_from(FO_SOURCES)),
+                min_size=1, max_size=4))
+@settings(deadline=None, max_examples=60)
+def test_formulas_load_back_between_prose_and_comments(sources):
+    parts = []
+    for i, src in enumerate(sources):
+        parts.append(f"/* \\section{{Part {i}}} Prose. With stops.\n*/\n"
+                     f"def(m_{i}) :: /* inside */ {src}.  % after it\n"
+                     f":- ppl_printtime(ppl_form(\n({src}))).\n")
+    doc, table = load_document("".join(parts))
+    want = [parse_formula(src) for src in sources]
+    assert [type(x) for x in doc.items] == [
+        LatexFragment, MacroDefStatement, Directive] * len(sources)
+    assert [x.definition.template for x in doc.items[1::3]] == want
+    assert [x.formula for x in doc.items[2::3]] == want
+    assert [x.text for x in doc.items[::3]] == [
+        f" \\section{{Part {i}}} Prose. With stops.\n"
+        for i in range(len(sources))]
+    assert [table.lookup(f"m_{i}", 0)[-1].template
+            for i in range(len(sources))] == want
 
 
 # ---------------------------------------------------------------------------

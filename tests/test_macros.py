@@ -2,20 +2,18 @@
 
 import pytest
 
-from pie.document import _parse_def
+from pie.document import load_document
 from pie.formula import (
     And, Atom, Context, Exists2, Fn, Implies, Not, free_symbols,
 )
-from pie.macros import MacroError, MacroTable, define_macro, expand
+from pie.macros import MacroError, expand
 from pie.syntax import parse_formula, print_text
 
 from oracles import fo_equivalent
 
 
 def table_from(*stmts):
-    table = MacroTable()
-    for s in stmts:
-        table = define_macro(table, _parse_def(s))
+    _, table = load_document("".join(s + ".\n" for s in stmts))
     return table
 
 
@@ -90,8 +88,7 @@ def test_first_matching_head_wins():
 
 
 def test_redefinition_replaces():
-    t = table_from("def(m) :: p")
-    t = define_macro(t, _parse_def("def(m) :: q"))
+    t = table_from("def(m) :: p", "def(m) :: q")
     assert expand(t, parse_formula("m"), Context()) == parse_formula("q")
 
 

@@ -241,6 +241,18 @@ def test_drop_subsumed_keeps_first_of_mutual_subsumers():
     assert drop_subsumed_all_pairs([same, apart]) == [apart]
 
 
+def test_variants_over_the_cap_subsume_each_other():
+    # over the cap subsumes compares canonical keys, whose literal order
+    # must not depend on variable names: sorted by name, q(X,a) comes
+    # before q(Y,b) but q(Z,a) after q(A,b)
+    wide = tuple((True, Atom(f"l{i}")) for i in range(SUBSUMPTION_SIZE_CAP))
+    c = Clause(wide + ((True, Atom("q", (X, A))), (True, Atom("q", (Y, B)))))
+    d = Clause(wide + ((True, Atom("q", (Z, A))),
+                       (True, Atom("q", (Var("A"), B)))))
+    assert subsumes(c, d) and subsumes(d, c)
+    assert _drop_subsumed([c, d]) == [c]
+
+
 # The d6 input of an elimination (under ex2 p): its d6 output clausifies
 # to 3,644 clauses, which simplify to 29.
 D6_INPUT = ("all(x, ((q(x), s(x,x)) -> ex(y, (p(y), (s(y,y); s(y,x)))))), "
