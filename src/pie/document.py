@@ -16,15 +16,17 @@ import os
 from dataclasses import dataclass, field
 
 from .elimination import EliminationTask, eliminate
-from .formula import Context, Formula, Implies
+from .formula import Atom, Context, Fn, Formula, Implies
 from .interpolation import InterpolationTask, interpolate
 from .macros import (
     BUILTINS, BuiltinCall, MacroDefinition, MacroError, MacroTable,
-    define_macro, expand, is_placeholder,
+    as_formula, define_macro, expand, is_placeholder,
 )
 from .preprocess import PIPELINES
 from .prover import ProverConfig, validate
-from .syntax import ParseError, Parser, Token, print_latex, tokenize
+from .syntax import (
+    ParseError, Parser, Token, latex_definition_head, print_latex, tokenize,
+)
 
 
 class DocumentError(Exception):
@@ -111,7 +113,6 @@ def _parse_step(p: Parser) -> BuiltinCall:
 
 
 def _placeholder_name(a):
-    from .formula import Atom, Fn
     if isinstance(a, Fn) and not a.args and is_placeholder(a.functor):
         return a.functor
     if isinstance(a, Atom) and not a.args and is_placeholder(a.pred):
@@ -146,7 +147,6 @@ def _parse_directive(p: Parser, source: str):
     p.expect("(")
     formula = p.parse_arg(frozenset())
     if not isinstance(formula, Formula):
-        from .macros import as_formula
         formula = as_formula(formula)
     options = {}
     if p.accept(","):
@@ -414,29 +414,10 @@ def _failed(d: Directive, msg: str, printing: bool,
 
 
 def _render_macro_def(item: MacroDefStatement) -> str:
-    from .syntax import latex_symbol
     mdef = item.definition
-    head = latex_symbol(mdef.name)
-    if mdef.params:
-        parts = []
-        for prm in mdef.params:
-            parts.append(_param_text(prm))
-        head += "(" + ",".join(parts) + ")"
-    return ("\\noindent\\textbf{def}\\ $" + head + "$:\n"
+    return ("\\noindent\\textbf{def}\\ $"
+            + latex_definition_head(mdef.name, mdef.params) + "$:\n"
             + _display(mdef.template))
-
-
-def _param_text(prm):
-    from .formula import Atom, Fn
-    from .syntax import latex_symbol, print_term
-    if isinstance(prm, Fn) and not prm.args:
-        return "\\mathit{" + prm.functor + "}"
-    if isinstance(prm, Atom) and not prm.args:
-        return "\\mathit{" + prm.pred + "}"
-    if isinstance(prm, Fn):
-        return latex_symbol(prm.functor) + "(" + ",".join(
-            _param_text(a) for a in prm.args) + ")"
-    return print_term(prm)
 
 
 def process_document(doc: PieDocument, table: MacroTable) -> str:

@@ -1,5 +1,5 @@
-"""Textual formula syntax: parser, text/LaTeX printers, TPTP and
-(Q)DIMACS emitters.
+"""Textual formula syntax: parser, formula printer, TPTP and (Q)DIMACS
+emitters.
 
 Operator precedences, loosest to tightest: '<->', '->', ';', ',', '~'.
 '->' and '<->' are right-associative; ',' and ';' collect into n-ary
@@ -13,17 +13,23 @@ which it drops, '/* ... */' block comments, which the parser skips, and
 the statement terminator: a '.' before whitespace or the end of the
 input.  Token positions, and so parse errors, are line:column in the
 whole input.
+
+One precedence walk prints formulas, and macro definition heads, in two
+notations: text, which the parser reads back, and LaTeX.  They differ
+only in symbols and in how binders and ~(s=t) are written.  TPTP output
+is separate: it parenthesizes fully and renames variables.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .formula import (
     And, Atom, Eq, Exists, Exists2, FALSE, Falsity, Fn, ForAll, ForAll2,
     Formula, Iff, Implies, Lambda, LambdaApp, MacroCall, Not, Or, PredSpec,
-    TRUE, Term, Truth, Var, beta_reduce,
+    TRUE, Term, Truth, Var, beta_reduce, predicate_arities,
 )
 
 
@@ -320,7 +326,6 @@ def parse_term(src: str) -> Term:
 
 
 def _check_arities(f):
-    from .formula import predicate_arities
     for name, arities in predicate_arities(f).items():
         if len(arities) > 1 and not name[0].isupper():
             raise ParseError(
@@ -329,80 +334,13 @@ def _check_arities(f):
 
 
 # ---------------------------------------------------------------------------
-# Text printing
+# Text and LaTeX printing: one precedence walk, two notations
 
-# precedence levels; lower binds looser
-_P_IFF, _P_IMPL, _P_OR, _P_AND, _P_NEG, _P_PRIM = range(6)
+# precedence levels of the connectives, lower binds looser; _P_NEG is
+# the level of negated formulas, binder bodies and macro-call arguments
+_PREC = {Iff: 0, Implies: 1, Or: 2, And: 3}
+_P_NEG = 4
 
-
-def print_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.functor
-    return f"{t.functor}({','.join(print_term(a) for a in t.args)})"
-
-
-def _txt(f, level) -> str:
-    def wrap(s, mylevel):
-        return f"({s})" if mylevel < level else s
-
-    if isinstance(f, Truth):
-        return "true"
-    if isinstance(f, Falsity):
-        return "false"
-    if isinstance(f, Atom):
-        return print_term(Fn(f.pred, f.args))
-    if isinstance(f, Eq):
-        return f"{print_term(f.lhs)}={print_term(f.rhs)}"
-    if isinstance(f, Not):
-        return f"~{_txt(f.arg, _P_NEG)}"
-    if isinstance(f, And):
-        return wrap(", ".join(_txt(a, _P_NEG) for a in f.args), _P_AND)
-    if isinstance(f, Or):
-        return wrap("; ".join(_txt(a, _P_AND) for a in f.args), _P_OR)
-    if isinstance(f, Implies):
-        return wrap(f"{_txt(f.lhs, _P_OR)}->{_txt(f.rhs, _P_IMPL)}", _P_IMPL)
-    if isinstance(f, Iff):
-        return wrap(f"{_txt(f.lhs, _P_IMPL)}<->{_txt(f.rhs, _P_IFF)}", _P_IFF)
-    if isinstance(f, (ForAll, Exists)):
-        kw = "all" if isinstance(f, ForAll) else "ex"
-        vs = f.vars[0] if len(f.vars) == 1 else f"[{','.join(f.vars)}]"
-        return f"{kw}({vs}, {_txt(f.body, _P_NEG)})"
-    if isinstance(f, (ForAll2, Exists2)):
-        kw = "all2" if isinstance(f, ForAll2) else "ex2"
-        names = [p.name for p in f.preds]
-        vs = names[0] if len(names) == 1 else f"[{','.join(names)}]"
-        return f"{kw}({vs}, {_txt(f.body, _P_NEG)})"
-    if isinstance(f, Lambda):
-        return f"lambda([{','.join(f.params)}], {_txt(f.body, _P_NEG)})"
-    if isinstance(f, LambdaApp):
-        return _txt(beta_reduce(f), level)
-    if isinstance(f, MacroCall):
-        parts = []
-        for a in f.args:
-            if isinstance(a, tuple):
-                parts.append("[" + ",".join(_arg_txt(x) for x in a) + "]")
-            else:
-                parts.append(_arg_txt(a))
-        return f"{f.name}({','.join(parts)})" if parts else f.name
-    raise ValueError(f"cannot print {f!r}")
-
-
-def _arg_txt(a):
-    if isinstance(a, Term):
-        return print_term(a)
-    return _txt(a, _P_NEG)
-
-
-def print_text(f: Formula) -> str:
-    """Text printing; quantifier bodies are parenthesized when compound,
-    matching console output style."""
-    return _txt(f, _P_IFF)
-
-
-# ---------------------------------------------------------------------------
-# LaTeX printing
 
 def latex_symbol(name: str, italic=False) -> str:
     """Symbol conversion: trailing digits become subscripts, '_p' suffix
@@ -425,80 +363,131 @@ def latex_symbol(name: str, italic=False) -> str:
     return out
 
 
-def latex_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return latex_symbol(t.name, italic=True)
-    head = latex_symbol(t.functor)
-    if not t.args:
-        return head
-    return head + "(" + ",".join(latex_term(a) for a in t.args) + ")"
+_BINDER_WORDS = {cls: word for word, cls in _BINDERS.items()}
 
 
-def _ltx(f, level) -> str:
-    def wrap(s, mylevel):
-        return f"({s})" if mylevel < level else s
+def _text_binder(f, names, body):
+    vs = (names[0] if len(names) == 1 and not isinstance(f, Lambda)
+          else f"[{','.join(names)}]")
+    return f"{_BINDER_WORDS[type(f)]}({vs}, {body})"
 
-    if isinstance(f, Truth):
-        return r"\top"
-    if isinstance(f, Falsity):
-        return r"\bot"
-    if isinstance(f, Atom):
-        return latex_term(Fn(f.pred, f.args))
-    if isinstance(f, Eq):
-        return f"{latex_term(f.lhs)}={latex_term(f.rhs)}"
-    if isinstance(f, Not):
-        if isinstance(f.arg, Eq):
-            return f"{latex_term(f.arg.lhs)}\\neq {latex_term(f.arg.rhs)}"
-        return r"\lnot " + _ltx(f.arg, _P_NEG)
-    if isinstance(f, And):
-        return wrap(r" \land ".join(_ltx(a, _P_NEG) for a in f.args),
-                    _P_AND)
-    if isinstance(f, Or):
-        return wrap(r" \lor ".join(_ltx(a, _P_AND) for a in f.args),
-                    _P_OR)
-    if isinstance(f, Implies):
-        return wrap(_ltx(f.lhs, _P_OR) + r" \rightarrow "
-                    + _ltx(f.rhs, _P_IMPL), _P_IMPL)
-    if isinstance(f, Iff):
-        return wrap(_ltx(f.lhs, _P_IMPL) + r" \leftrightarrow "
-                    + _ltx(f.rhs, _P_IFF), _P_IFF)
-    if isinstance(f, (ForAll, Exists)):
-        q = r"\forall" if isinstance(f, ForAll) else r"\exists"
-        vs = " ".join(f"{q} {latex_symbol(v, italic=True)}" for v in f.vars)
-        return wrap(vs + r" \, " + _ltx(f.body, _P_NEG), _P_NEG)
-    if isinstance(f, (ForAll2, Exists2)):
-        q = r"\forall" if isinstance(f, ForAll2) else r"\exists"
-        vs = " ".join(f"{q} {latex_symbol(p.name, italic=True)}"
-                      for p in f.preds)
-        return wrap(vs + r" \, " + _ltx(f.body, _P_NEG), _P_NEG)
+
+def _latex_binder(f, names, body):
     if isinstance(f, Lambda):
-        vs = ",".join(latex_symbol(v, italic=True) for v in f.params)
-        return wrap(r"\lambda (" + vs + ")." + _ltx(f.body, _P_NEG), _P_NEG)
+        return r"\lambda (" + ",".join(names) + ")." + body
+    q = r"\forall" if isinstance(f, (ForAll, ForAll2)) else r"\exists"
+    return " ".join(f"{q} {v}" for v in names) + r" \, " + body
+
+
+class _Notation(NamedTuple):
+    """symbol(name, italic) writes a name (italic: variables, bound names,
+    macro-call heads); neq, if set, is the infix of ~(s=t);
+    binder(f, bound names, body) writes a quantifier or lambda."""
+    symbol: Callable
+    true: str
+    false: str
+    neg: str
+    neq: str | None
+    infix: dict
+    binder: Callable
+
+
+_TEXT = _Notation(lambda name, italic: name, "true", "false", "~", None,
+                  {And: ", ", Or: "; ", Implies: "->", Iff: "<->"},
+                  _text_binder)
+_LATEX = _Notation(latex_symbol, r"\top", r"\bot", r"\lnot ", r"\neq ",
+                   {And: r" \land ", Or: r" \lor ", Implies: r" \rightarrow ",
+                    Iff: r" \leftrightarrow "}, _latex_binder)
+# a macro definition's parameters: LaTeX with every capitalized name, a
+# placeholder, in italics
+_LATEX_PARAMS = _LATEX._replace(symbol=lambda name, italic: latex_symbol(
+    name, italic or name[:1].isupper()))
+
+
+def _call(head, args):
+    """head applied to the printed args, or head alone if there are none."""
+    return f"{head}({','.join(args)})" if args else head
+
+
+def _term(t: Term, n: _Notation) -> str:
+    if isinstance(t, Var):
+        return n.symbol(t.name, True)
+    return _call(n.symbol(t.functor, False), [_term(a, n) for a in t.args])
+
+
+def _arg(a, n: _Notation) -> str:
+    """A macro-call argument: a term, a list, or a formula that binds at
+    least as tightly as a negation."""
+    if isinstance(a, Term):
+        return _term(a, n)
+    if isinstance(a, tuple):
+        return "[" + ",".join(_arg(x, n) for x in a) + "]"
+    return _print(a, _P_NEG, n)
+
+
+def _print(f: Formula, level, n: _Notation) -> str:
+    """f in notation n, in parentheses if its connective binds looser
+    than level."""
+    prec = _PREC.get(type(f))
+    if prec is not None:
+        op = n.infix[type(f)]
+        if isinstance(f, (And, Or)):
+            s = op.join(_print(a, prec + 1, n) for a in f.args)
+        else:   # '->' and '<->' associate to the right
+            s = _print(f.lhs, prec + 1, n) + op + _print(f.rhs, prec, n)
+        return f"({s})" if prec < level else s
+    if isinstance(f, Atom):
+        return _term(Fn(f.pred, f.args), n)
+    if isinstance(f, Eq):
+        return f"{_term(f.lhs, n)}={_term(f.rhs, n)}"
+    if isinstance(f, Not):
+        if n.neq and isinstance(f.arg, Eq):
+            return _term(f.arg.lhs, n) + n.neq + _term(f.arg.rhs, n)
+        return n.neg + _print(f.arg, _P_NEG, n)
+    if isinstance(f, Truth):
+        return n.true
+    if isinstance(f, Falsity):
+        return n.false
+    if isinstance(f, (ForAll, Exists, ForAll2, Exists2, Lambda)):
+        names = (f.params if isinstance(f, Lambda) else
+                 f.vars if isinstance(f, (ForAll, Exists)) else
+                 [p.name for p in f.preds])
+        return n.binder(f, [n.symbol(v, True) for v in names],
+                        _print(f.body, _P_NEG, n))
     if isinstance(f, LambdaApp):
-        return _ltx(beta_reduce(f), level)
+        return _print(beta_reduce(f), level, n)
     if isinstance(f, MacroCall):
-        head = latex_symbol(f.name, italic=True)
-        if not f.args:
-            return head
-        return head + "(" + ",".join(
-            ("[" + ",".join(_arg_ltx(x) for x in a) + "]")
-            if isinstance(a, tuple) else _arg_ltx(a)
-            for a in f.args) + ")"
+        return _call(n.symbol(f.name, True), [_arg(a, n) for a in f.args])
     raise ValueError(f"cannot print {f!r}")
 
 
-def _arg_ltx(a):
-    if isinstance(a, Term):
-        return latex_term(a)
-    return _ltx(a, _P_NEG)
+def latex_definition_head(name: str, params) -> str:
+    """The head of a macro definition in LaTeX: name, then its parameters
+    (terms, formulas or lists) as print_latex writes the arguments of a
+    macro call, but with placeholders in italics."""
+    return _call(latex_symbol(name), [_arg(p, _LATEX_PARAMS) for p in params])
+
+
+def print_term(t: Term) -> str:
+    return _term(t, _TEXT)
+
+
+def latex_term(t: Term) -> str:
+    return _term(t, _LATEX)
+
+
+def print_text(f: Formula) -> str:
+    """Text printing; quantifier bodies are parenthesized when compound,
+    matching console output style."""
+    return _print(f, 0, _TEXT)
 
 
 def print_latex(f: Formula) -> str:
     if isinstance(f, And):
         rows = r" \; \land \\" + "\n"
-        body = rows.join(_ltx(a, _P_NEG) for a in f.args)
+        body = rows.join(_print(a, _P_NEG, _LATEX) for a in f.args)
         return "\\begin{array}{l}\n" + body + "\n\\end{array}"
-    return _ltx(f, _P_IFF)
+    return _print(f, 0, _LATEX)
 
 
 # ---------------------------------------------------------------------------

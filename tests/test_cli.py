@@ -162,6 +162,19 @@ def test_process_survives_unwritable_dotgraph(capsys, tmp_path):
     assert "No such file or directory" in err
 
 
+@pytest.mark.parametrize("definition", [
+    "def(foo(p(X))) :: X.", "def(bar([X,Y])) :: X."])
+def test_process_renders_compound_and_list_parameters(capsys, tmp_path,
+                                                      definition):
+    doc = tmp_path / "def.pie"
+    doc.write_text(definition + "\n:- ppl_printtime(ppl_valid((p ; ~p))).\n")
+    code, out, err = run(capsys, "process", str(doc))
+    assert (code, err) == (0, "")
+    assert out.startswith("\\noindent\\textbf{def}\\ $\\mathsf{")
+    assert "(\\mathit{X}" in out or "[\\mathit{X}" in out
+    assert out.endswith("is valid.\n")
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "process", "/nonexistent/x.pie")
     assert code == 2

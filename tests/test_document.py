@@ -342,6 +342,34 @@ def test_dotgraph_that_is_no_file_name_fails_its_directive_alone(value,
 
 
 # ---------------------------------------------------------------------------
+# Definition heads
+
+@pytest.mark.parametrize("params,head", [
+    ("p(X)", r"\mathsf{p}(\mathit{X})"),
+    ("[X,Y]", r"[\mathit{X},\mathit{Y}]"),
+    ("~X, [p, [Y]]", r"\lnot \mathit{X},[\mathsf{p},[\mathit{Y}]]"),
+    ("(X, q -> r(Y))",
+     r"(\mathit{X} \land \mathsf{q} \rightarrow \mathsf{r}(\mathit{Y}))"),
+])
+def test_definition_parameters_of_any_shape_render(params, head):
+    # the head printer took only terms and raised on compound formulas
+    # and lists
+    doc, table = load_document(f"def(m({params})) :: X.\n")
+    assert process_document(doc, table) == (
+        f"\\noindent\\textbf{{def}}\\ $\\mathsf{{m}}({head})$:\n"
+        "\\[\n\\mathsf{X}\n\\]\n")
+
+
+def test_definition_head_writes_parameters_as_symbols():
+    # T1 and P_p are written as the body writes them, but in italics
+    doc, table = load_document("def(m(T1, P_p)) :: T1, P_p.\n")
+    head, _, body = process_document(doc, table).partition(":\n")
+    assert head == (r"\noindent\textbf{def}\ "
+                    r"$\mathsf{m}(\mathit{T_{1}},\mathit{P}^{'})$")
+    assert r"\mathsf{T_{1}}" in body and r"\mathsf{P}^{'}" in body
+
+
+# ---------------------------------------------------------------------------
 # Full document processing
 
 def test_defaults_apply_in_document_order():

@@ -299,6 +299,24 @@ def test_deadline_reaches_the_pipelines(src, pre, simp):
     assert time.monotonic() - t0 < 1.2 * 0.2 + 0.05
 
 
+# p(x0,x1) ; ... ; p(x7,x8), and the 63 edges of an 8-layer, width-3 DAG
+PATH8 = " ; ".join(f"p(x{i},x{i + 1})" for i in range(8))
+DAG8 = " ; ".join(f"p(n{i}_{a},n{i + 1}_{b})"
+                  for i in range(7) for a in range(3) for b in range(3))
+
+
+def test_subsumption_size_cap_keeps_wide_clauses_cheap():
+    # The path clause does not subsume the DAG clause (the DAG has no
+    # walk of 8 edges), and backtracking θ-subsumption learns that only
+    # after trying every walk.  SUBSUMPTION_SIZE_CAP sends clauses this
+    # wide to the key comparison instead: with the cap removed this
+    # input ran out of its 2 s budget, with it it takes about 0.01 s.
+    xs = ",".join(f"x{i}" for i in range(9))
+    f = parse_formula(f"ex2(q, (all([{xs}], ({PATH8})), ({DAG8}), q))")
+    out = eliminate(EliminationTask(f, simp_result="c6", timeout_ms=2000))
+    assert out.status == "success", out.reason
+
+
 @pytest.mark.parametrize("simp", [None, "c6"])
 def test_circumscription_of_longer_chain(simp):
     # 13 to 16 s each while the subsumed product clauses were built

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pie.formula import (
-    And, Atom, Exists, Exists2, Fn, ForAll, Iff, Implies, Not, Or, Var,
+    And, Atom, Eq, Exists, Exists2, Fn, ForAll, Iff, Implies, Lambda,
+    LambdaApp, MacroCall, Not, Or, Var,
 )
 from pie.preprocess import clausify
 from pie.syntax import (
@@ -114,6 +115,85 @@ def test_latex_conjunction_array():
 def test_latex_subscripts():
     s = print_latex(parse_formula("kb1"))
     assert "kb_{1}" in s
+
+
+# one formula of each node kind and each precedence wrap: source, text,
+# LaTeX
+PRINTED = [
+    ("true", "true", r"\top"),
+    ("false", "false", r"\bot"),
+    ("p", "p", r"\mathsf{p}"),
+    ("p(f(a),b1)", "p(f(a),b1)",
+     r"\mathsf{p}(\mathsf{f}(\mathsf{a}),\mathsf{b_{1}})"),
+    ("kb1_p(x_y)", "kb1_p(x_y)", r"\mathsf{kb_{1}}^{'}(\mathsf{x\_y})"),
+    ("a=g(b)", "a=g(b)", r"\mathsf{a}=\mathsf{g}(\mathsf{b})"),
+    (r"a \= b", "~a=b", r"\mathsf{a}\neq \mathsf{b}"),
+    ("~p", "~p", r"\lnot \mathsf{p}"),
+    ("~(p, q)", "~(p, q)", r"\lnot (\mathsf{p} \land \mathsf{q})"),
+    ("~(p -> q)", "~(p->q)", r"\lnot (\mathsf{p} \rightarrow \mathsf{q})"),
+    ("p, q ; r", "p, q; r", r"\mathsf{p} \land \mathsf{q} \lor \mathsf{r}"),
+    ("(p ; q), r", "(p; q), r",
+     "\\begin{array}{l}\n(\\mathsf{p} \\lor \\mathsf{q}) \\; \\land \\\\\n"
+     "\\mathsf{r}\n\\end{array}"),
+    ("p ; (q -> r)", "p; (q->r)",
+     r"\mathsf{p} \lor (\mathsf{q} \rightarrow \mathsf{r})"),
+    ("(p -> q) -> r", "(p->q)->r",
+     r"(\mathsf{p} \rightarrow \mathsf{q}) \rightarrow \mathsf{r}"),
+    ("p -> q -> r", "p->q->r",
+     r"\mathsf{p} \rightarrow \mathsf{q} \rightarrow \mathsf{r}"),
+    ("(p <-> q) <-> r", "(p<->q)<->r",
+     r"(\mathsf{p} \leftrightarrow \mathsf{q}) \leftrightarrow \mathsf{r}"),
+    ("p <-> q <-> r", "p<->q<->r",
+     r"\mathsf{p} \leftrightarrow \mathsf{q} \leftrightarrow \mathsf{r}"),
+    ("(p <-> q) -> r", "(p<->q)->r",
+     r"(\mathsf{p} \leftrightarrow \mathsf{q}) \rightarrow \mathsf{r}"),
+    ("all(x, p(x))", "all(x, p(x))",
+     r"\forall \mathit{x} \, \mathsf{p}(\mathit{x})"),
+    ("ex([x,y], (p(x) ; q(y)))", "ex([x,y], (p(x); q(y)))",
+     r"\exists \mathit{x} \exists \mathit{y} \, "
+     r"(\mathsf{p}(\mathit{x}) \lor \mathsf{q}(\mathit{y}))"),
+    ("(all(x, p(x)) -> q)", "all(x, p(x))->q",
+     r"\forall \mathit{x} \, \mathsf{p}(\mathit{x}) \rightarrow \mathsf{q}"),
+    ("all2(p, ~p(a))", "all2(p, ~p(a))",
+     r"\forall \mathit{p} \, \lnot \mathsf{p}(\mathsf{a})"),
+    ("ex2([p,q], (p, q))", "ex2([p,q], (p, q))",
+     r"\exists \mathit{p} \exists \mathit{q} \, (\mathsf{p} \land \mathsf{q})"),
+    ("lambda([x], p(x))", "lambda([x], p(x))",
+     r"\lambda (\mathit{x}).\mathsf{p}(\mathit{x})"),
+    ("m(a, X, (p, q), [b, ~r])", "m(a,X,(p, q),[b,~r])",
+     r"\mathit{m}(\mathsf{a},\mathsf{X},(\mathsf{p} \land \mathsf{q}),"
+     r"[\mathsf{b},\lnot \mathsf{r}])"),
+]
+
+
+@pytest.mark.parametrize("src,text,latex", PRINTED)
+def test_printers_on_each_node_kind(src, text, latex):
+    f = parse_formula(src)
+    assert print_text(f) == text
+    assert print_latex(f) == latex
+
+
+def test_printers_on_built_nodes():
+    x = Var("x")
+    app = LambdaApp(Lambda(("x",), Atom("p", (x,))), (Fn("a"),))
+    assert (print_text(app), print_latex(app)) == (
+        "p(a)", r"\mathsf{p}(\mathsf{a})")
+    ne = Not(Eq(x, Fn("a")))
+    assert (print_text(ne), print_latex(ne)) == (
+        "~x=a", r"\mathit{x}\neq \mathsf{a}")
+    call = MacroCall("m", ())
+    assert (print_text(call), print_latex(call)) == ("m", r"\mathit{m}")
+    with pytest.raises(ValueError, match="cannot print"):
+        print_text(Not(x))
+
+
+def test_nested_lists_in_macro_calls_print():
+    # the parser reads lists in lists; the printers raised on them
+    f = parse_formula("m([[a], b], (p, q))")
+    assert print_text(f) == "m([[a],b],(p, q))"
+    assert parse_formula(print_text(f)) == f
+    assert print_latex(f) == (r"\mathit{m}([[\mathsf{a}],\mathsf{b}],"
+                              r"(\mathsf{p} \land \mathsf{q}))")
 
 
 # ---------------------------------------------------------------------------
