@@ -13,10 +13,9 @@ document give their line and column in it.  Documents are loaded completely
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 from .elimination import EliminationTask, eliminate
-from .formula import Atom, Context, Fn, Formula, Implies
+from .formula import Atom, Context, Fn, Formula, Implies, Record
 from .interpolation import InterpolationTask, interpolate
 from .macros import (
     BUILTINS, BuiltinCall, MacroDefinition, MacroError, MacroTable,
@@ -36,34 +35,45 @@ class DocumentError(Exception):
 # ---------------------------------------------------------------------------
 # Document items
 
-@dataclass
-class MacroDefStatement:
-    definition: MacroDefinition
-    source: str
+class MacroDefStatement(Record):
+    __slots__ = ("definition", "source")
+
+    def __init__(self, definition: MacroDefinition, source: str):
+        self.definition = definition
+        self.source = source
 
 
-@dataclass
-class Directive:
-    kind: str               # 'elim' | 'ipol' | 'valid' | 'form'
-    formula: Formula
-    options: dict
-    source: str
+class Directive(Record):
+    __slots__ = ("kind", "formula", "options", "source")
+
+    def __init__(self, kind: str, formula: Formula, options: dict,
+                 source: str):
+        self.kind = kind    # 'elim' | 'ipol' | 'valid' | 'form'
+        self.formula = formula
+        self.options = options
+        self.source = source
 
 
-@dataclass
-class LatexFragment:
-    text: str
+class LatexFragment(Record):
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
 
 
-@dataclass
-class ConfigDefault:
-    key: str
-    value: object
+class ConfigDefault(Record):
+    __slots__ = ("key", "value")
+
+    def __init__(self, key: str, value: object):
+        self.key = key
+        self.value = value
 
 
-@dataclass
-class PieDocument:
-    items: list
+class PieDocument(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: list):
+        self.items = items
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +284,25 @@ def system_defaults():
     return {**SYSTEM_DEFAULTS, "timeout_ms": default_timeout_ms()}
 
 
-@dataclass
-class ProcessingContext:
-    table: MacroTable
-    ctx: Context = field(default_factory=Context)
-    defaults: dict = field(default_factory=system_defaults)
+class ProcessingContext(Record):
+    __slots__ = ("table", "ctx", "defaults")
+
+    def __init__(self, table: MacroTable, ctx: Context | None = None,
+                 defaults: dict | None = None):
+        self.table = table
+        self.ctx = Context() if ctx is None else ctx
+        self.defaults = system_defaults() if defaults is None else defaults
 
 
-@dataclass
-class DirectiveResult:
-    status: str            # 'ok' | 'failed'
-    text: str              # LaTeX rendering ('' when printing=false)
-    formula: Formula | None = None
-    detail: str = ""
+class DirectiveResult(Record):
+    __slots__ = ("status", "text", "formula", "detail")
+
+    def __init__(self, status: str, text: str, formula: Formula | None = None,
+                 detail: str = ""):
+        self.status = status    # 'ok' | 'failed'
+        self.text = text        # LaTeX rendering ('' when printing=false)
+        self.formula = formula
+        self.detail = detail
 
 
 def _display(f: Formula) -> str:

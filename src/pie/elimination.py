@@ -10,13 +10,12 @@ quantifiers are handled through the dual ∀p F = ¬∃p ¬F.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .formula import (
     And, Atom, Context, Eq, Exists, Exists2, FALSE, Falsity, ForAll, ForAll2,
     Formula, FormulaError, Iff, Implies, Lambda, LambdaApp, MacroCall, Not,
-    Or, PredSpec, TRUE, Truth, Var, all_names, beta_reduce, conj, disj,
-    exists, forall, free_symbols, free_vars, map_children, neg, nnf,
+    Or, PredSpec, Record, TRUE, Truth, Var, all_names, beta_reduce, conj,
+    disj, exists, forall, free_symbols, free_vars, map_children, neg, nnf,
     predicate_arities, subst_in_term, subst_vars, substitute_predicate,
 )
 from .preprocess import (
@@ -38,19 +37,25 @@ class _Nonreducible(EliminationError):
 BRANCH_BOUND = 64
 
 
-@dataclass
-class EliminationTask:
-    formula: Formula
-    pre: str | None = None            # None | 'c6' | 'd6'
-    simp_result: str | None = None    # None | 'c6'
-    timeout_ms: int = 30000
+class EliminationTask(Record):
+    __slots__ = ("formula", "pre", "simp_result", "timeout_ms")
+
+    def __init__(self, formula: Formula, pre: str | None = None,
+                 simp_result: str | None = None, timeout_ms: int = 30000):
+        self.formula = formula
+        self.pre = pre                    # None | 'c6' | 'd6'
+        self.simp_result = simp_result    # None | 'c6'
+        self.timeout_ms = timeout_ms
 
 
-@dataclass
-class EliminationOutcome:
-    status: str                       # 'success' | 'nonreducible' | 'resources'
-    result: Formula | None = None
-    reason: str = ""
+class EliminationOutcome(Record):
+    __slots__ = ("status", "result", "reason")
+
+    def __init__(self, status: str, result: Formula | None = None,
+                 reason: str = ""):
+        self.status = status    # 'success' | 'nonreducible' | 'resources'
+        self.result = result
+        self.reason = reason
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ concurrent jobs can each own their own counter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from reprlib import recursive_repr
 
 
 class FormulaError(Exception):
@@ -15,29 +15,101 @@ class FormulaError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+class Record:
+    """Base of the package's record classes.
+
+    A record's fields are the names in its class's __slots__, in
+    constructor order, and its own __init__ sets them.  It prints as
+    Name(field=value, ...), equals a record of its own class with equal
+    fields, and is unhashable.  Terms, atoms, equations, symbol
+    occurrences and clauses, hashed and compared on every hot path,
+    write out their own __eq__ and __hash__: on a nested atom, these
+    loops over the fields take 4 to 7 times as long.  Atoms and
+    equations, which _literal_order sorts by repr, also write out their
+    own __repr__."""
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    @recursive_repr()
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}"
+                            for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """A record whose fields cannot be assigned or deleted once its
+    __init__ has set them with object.__setattr__.  It hashes as the
+    tuple of its fields."""
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+_set = object.__setattr__
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
-class Term:
+class Term(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __repr__(self):
         return f"Var({self.name})"
 
 
-@dataclass(frozen=True)
 class Fn(Term):
     """Compound term; constants are zero-arity compounds."""
-    functor: str
-    args: tuple = ()
+    __slots__ = ("functor", "args")
 
-    def __post_init__(self):
-        if not self.functor:
+    def __init__(self, functor: str, args: tuple = ()):
+        if not functor:
             raise FormulaError("empty functor name")
+        _set(self, "functor", functor)
+        _set(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.functor, self.args) == (other.functor, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.functor, self.args))
 
     def __repr__(self):
         if not self.args:
@@ -48,109 +120,159 @@ class Fn(Term):
 # ---------------------------------------------------------------------------
 # Formulas
 
-class Formula:
+class Formula(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    pred: str
-    args: tuple = ()
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple = ()):
+        _set(self, "pred", pred)
+        _set(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pred, self.args) == (other.pred, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pred, self.args))
+
+    def __repr__(self):
+        return f"Atom(pred={self.pred!r}, args={self.args!r})"
 
 
-@dataclass(frozen=True)
 class Eq(Formula):
-    lhs: Term
-    rhs: Term
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Term, rhs: Term):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lhs, self.rhs) == (other.lhs, other.rhs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lhs, self.rhs))
+
+    def __repr__(self):
+        return f"Eq(lhs={self.lhs!r}, rhs={self.rhs!r})"
 
 
-@dataclass(frozen=True)
 class Truth(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Falsity(Formula):
-    pass
+    __slots__ = ()
 
 
 TRUE = Truth()
 FALSE = Falsity()
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    arg: Formula
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Formula):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    args: tuple
+    __slots__ = ("args",)
+
+    def __init__(self, args: tuple):
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    args: tuple
+    __slots__ = ("args",)
+
+    def __init__(self, args: tuple):
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Formula, rhs: Formula):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
 class Iff(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Formula, rhs: Formula):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class PredSpec:
-    name: str
-    arity: int | None = None
+class PredSpec(Frozen):
+    __slots__ = ("name", "arity")
+
+    def __init__(self, name: str, arity: int | None = None):
+        _set(self, "name", name)
+        _set(self, "arity", arity)
 
 
-@dataclass(frozen=True)
 class ForAll(Formula):
-    vars: tuple  # of str
-    body: Formula
+    __slots__ = ("vars", "body")
+
+    def __init__(self, vars: tuple, body: Formula):
+        _set(self, "vars", vars)  # of str
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
-    vars: tuple
-    body: Formula
+    __slots__ = ("vars", "body")
+
+    def __init__(self, vars: tuple, body: Formula):
+        _set(self, "vars", vars)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class ForAll2(Formula):
-    preds: tuple  # of PredSpec
-    body: Formula
+    __slots__ = ("preds", "body")
+
+    def __init__(self, preds: tuple, body: Formula):
+        _set(self, "preds", preds)  # of PredSpec
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class Exists2(Formula):
-    preds: tuple
-    body: Formula
+    __slots__ = ("preds", "body")
+
+    def __init__(self, preds: tuple, body: Formula):
+        _set(self, "preds", preds)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class Lambda(Formula):
-    params: tuple  # of str
-    body: Formula
+    __slots__ = ("params", "body")
+
+    def __init__(self, params: tuple, body: Formula):
+        _set(self, "params", params)  # of str
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class MacroCall(Formula):
-    name: str
-    args: tuple  # of Formula | Term | tuple
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple):
+        _set(self, "name", name)
+        _set(self, "args", args)  # of Formula | Term | tuple
 
 
-@dataclass(frozen=True)
 class LambdaApp(Formula):
-    head: Formula  # Lambda
-    args: tuple  # of Term
+    __slots__ = ("head", "args")
+
+    def __init__(self, head: Formula, args: tuple):
+        _set(self, "head", head)  # Lambda
+        _set(self, "args", args)  # of Term
 
 
 def conj(items) -> Formula:
@@ -358,13 +480,24 @@ class Context:
 # ---------------------------------------------------------------------------
 # Vocabulary
 
-@dataclass(frozen=True)
-class Occ:
+class Occ(Frozen):
     """A free symbol occurrence summary with merged polarity."""
-    name: str
-    kind: str    # 'predicate' | 'function'
-    arity: int
-    polarity: str  # 'pos' | 'neg' | 'both'
+    __slots__ = ("name", "kind", "arity", "polarity")
+
+    def __init__(self, name: str, kind: str, arity: int, polarity: str):
+        _set(self, "name", name)
+        _set(self, "kind", kind)            # 'predicate' | 'function'
+        _set(self, "arity", arity)
+        _set(self, "polarity", polarity)    # 'pos' | 'neg' | 'both'
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.name, self.kind, self.arity, self.polarity)
+                    == (other.name, other.kind, other.arity, other.polarity))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.kind, self.arity, self.polarity))
 
 
 def _merge_pol(a, b):

@@ -8,12 +8,11 @@ side are generalized to quantified variables.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 
 from .formula import (
-    Atom, Context, Eq, Exists, FALSE, Fn, ForAll, Formula, Implies, Not, TRUE,
-    Var, atom_terms, conj, disj, free_symbols, is_first_order, map_atom,
-    map_children, neg, subformulas, subterms,
+    Atom, Context, Eq, Exists, FALSE, Fn, ForAll, Formula, Implies, Not,
+    Record, TRUE, Var, atom_terms, conj, disj, free_symbols, is_first_order,
+    map_atom, map_children, neg, subformulas, subterms,
 )
 from .preprocess import clause_terms
 from .prover import (
@@ -26,20 +25,26 @@ class InterpolationError(Exception):
     pass
 
 
-@dataclass
-class InterpolationTask:
-    left: Formula
-    right: Formula
-    simp_sides: bool = True
-    dot_path: str | None = None
+class InterpolationTask(Record):
+    __slots__ = ("left", "right", "simp_sides", "dot_path")
+
+    def __init__(self, left: Formula, right: Formula, simp_sides: bool = True,
+                 dot_path: str | None = None):
+        self.left = left
+        self.right = right
+        self.simp_sides = simp_sides
+        self.dot_path = dot_path
 
 
-@dataclass
-class Interpolant:
-    formula: Formula
-    proof: ProofResult | None = None
-    model: Model | None = None
-    status: str = "interpolant"   # 'interpolant' | 'not_valid' | 'failed'
+class Interpolant(Record):
+    __slots__ = ("formula", "proof", "model", "status")
+
+    def __init__(self, formula: Formula, proof: ProofResult | None = None,
+                 model: Model | None = None, status: str = "interpolant"):
+        self.formula = formula
+        self.proof = proof
+        self.model = model
+        self.status = status  # 'interpolant' | 'not_valid' | 'failed'
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +175,7 @@ def interpolate(task: InterpolationTask,
     share = model_share(config.timeout_ms)
     result, left_cs, right_cs = _refute(
         [left], [neg(right)],
-        replace(config, timeout_ms=config.timeout_ms - share),
+        config.with_timeout(config.timeout_ms - share),
         task.simp_sides)
     if not result.proved:
         if left_cs is not None:     # not a clausification timeout
@@ -211,7 +216,7 @@ def symmetric_interpolate(parts, config: ProverConfig | None = None):
         rest = conj(others) if others else TRUE
         task = InterpolationTask(f, neg(rest))
         left = int((deadline - time.monotonic()) * 1000)
-        out = interpolate(task, replace(config, timeout_ms=max(left, 0)))
+        out = interpolate(task, config.with_timeout(max(left, 0)))
         if out.status != "interpolant":
             raise InterpolationError(
                 f"symmetric interpolation failed at part {i}: {out.status}")

@@ -8,13 +8,11 @@ declaration order; the first matching head pattern wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .formula import (
     And, Atom, Context, Eq, Exists, Exists2, Fn, ForAll, ForAll2, Formula,
-    Implies, Lambda, LambdaApp, MacroCall, Or, PredSpec, Term, Var,
-    apply_lambda, conj, forall, free_symbols, map_children, map_term,
-    predicate_arities, subformulas, substitute_predicate, subterms,
+    Frozen, Implies, Lambda, LambdaApp, MacroCall, Or, PredSpec, Record,
+    Term, Var, apply_lambda, conj, forall, free_symbols, map_children,
+    map_term, predicate_arities, subformulas, substitute_predicate, subterms,
 )
 
 
@@ -38,28 +36,36 @@ def is_placeholder(name) -> bool:
     return isinstance(name, str) and bool(name) and name[0].isupper()
 
 
-@dataclass(frozen=True)
-class BuiltinCall:
-    builtin: str
-    inputs: tuple
-    outputs: tuple  # placeholder names
+class BuiltinCall(Frozen):
+    __slots__ = ("builtin", "inputs", "outputs")
+
+    def __init__(self, builtin: str, inputs: tuple, outputs: tuple):
+        object.__setattr__(self, "builtin", builtin)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "outputs", outputs)  # placeholder names
 
 
-@dataclass(frozen=True)
-class MacroDefinition:
-    name: str
-    params: tuple              # pattern values (Term/Formula/tuple)
-    template: Formula
-    steps: tuple = ()          # of BuiltinCall
+class MacroDefinition(Frozen):
+    __slots__ = ("name", "params", "template", "steps")
+
+    def __init__(self, name: str, params: tuple, template: Formula,
+                 steps: tuple = ()):
+        object.__setattr__(self, "name", name)
+        # pattern values (Term/Formula/tuple)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "template", template)
+        object.__setattr__(self, "steps", steps)  # of BuiltinCall
 
     @property
     def arity(self):
         return len(self.params)
 
 
-@dataclass
-class MacroTable:
-    defs: dict = field(default_factory=dict)  # (name, arity) -> [defs]
+class MacroTable(Record):
+    __slots__ = ("defs",)
+
+    def __init__(self, defs: dict | None = None):
+        self.defs = {} if defs is None else defs  # (name, arity) -> [defs]
 
     def copy(self):
         return MacroTable({k: list(v) for k, v in self.defs.items()})

@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 import re
 import time
-from dataclasses import dataclass, field
 
 from .formula import (
     And, Atom, Context, Eq, Exists, FALSE, Falsity, Fn, ForAll, Formula,
-    Implies, Not, Or, Truth, Var, atom_terms, conj, disj, exists,
-    forall, free_symbols, free_vars, free_vars_term, fresh_name,
+    Frozen, Implies, Not, Or, Record, Truth, Var, atom_terms, conj, disj,
+    exists, forall, free_symbols, free_vars, free_vars_term, fresh_name,
     is_first_order, map_atom, neg, nnf, subst_vars, subterms,
 )
 
@@ -50,9 +49,19 @@ def _checked(items, deadline, layer):
 Literal = tuple  # (sign: bool, Atom | Eq)
 
 
-@dataclass(frozen=True)
-class Clause:
-    literals: tuple
+class Clause(Frozen):
+    __slots__ = ("literals",)
+
+    def __init__(self, literals: tuple):
+        object.__setattr__(self, "literals", literals)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.literals == other.literals
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.literals,))
 
     def __iter__(self):
         return iter(self.literals)
@@ -61,11 +70,12 @@ class Clause:
         return len(self.literals)
 
 
-@dataclass
-class ClausalForm:
-    clauses: list
-    skolems: dict = field(default_factory=dict)
-    # skolems: name -> arity
+class ClausalForm(Record):
+    __slots__ = ("clauses", "skolems")
+
+    def __init__(self, clauses: list, skolems: dict | None = None):
+        self.clauses = clauses
+        self.skolems = {} if skolems is None else skolems  # name -> arity
 
 
 def clause_terms(c: Clause):
@@ -445,11 +455,13 @@ def match_lit(pat, tgt, theta):
 SUBSUMPTION_SIZE_CAP = 12
 
 
-def subsumes(c: Clause, d: Clause) -> bool:
+def subsumes(c: Clause, d: Clause, deadline=math.inf) -> bool:
     """True if some substitution maps every literal of c onto a literal
     of d (θ-subsumption; two literals of c may map onto the same one)
     and c has no more literals than d.  Over SUBSUMPTION_SIZE_CAP
-    literals it only compares the canonical keys (_clause_key)."""
+    literals it only compares the canonical keys (_clause_key).  The
+    search for a substitution can backtrack exponentially, so past the
+    time.monotonic() deadline it raises DeadlineExceeded."""
     if len(c) > len(d):
         return False
     if len(c) > SUBSUMPTION_SIZE_CAP or len(d) > SUBSUMPTION_SIZE_CAP:
@@ -458,6 +470,7 @@ def subsumes(c: Clause, d: Clause) -> bool:
     def go(lits, theta):
         if not lits:
             return True
+        check_deadline(deadline, "clausal simplification")
         first, rest = lits[0], lits[1:]
         for tgt in d.literals:
             theta2 = dict(theta)
@@ -541,13 +554,14 @@ def _drop_subsumed(clauses, deadline=math.inf):
         same = kept.get(len(fs), {}).get(fs, [])
         below = [js for n, g in kept.items() if n < len(fs)
                  for k, js in g.items() if k <= fs]
-        if any(subsumes(clauses[j], c) for js in [same, *below] for j in js):
+        if any(subsumes(clauses[j], c, deadline)
+               for js in [same, *below] for j in js):
             continue
         above = [js for n, g in kept.items() if n > len(fs)
                  for k, js in g.items() if fs <= k]
         for js in [same, *above]:
             js[:] = [j for j in js if len(clauses[j]) < len(c)
-                     or not subsumes(c, clauses[j])]
+                     or not subsumes(c, clauses[j], deadline)]
         same.append(i)
         kept.setdefault(len(fs), {})[fs] = same
     return [clauses[i] for i in sorted(

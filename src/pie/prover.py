@@ -50,12 +50,11 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
 
 from .formula import (
     And, Atom, Context, Eq, Exists, Exists2, Falsity, Fn, ForAll, ForAll2,
     Formula, Iff, Implies, Lambda, LambdaApp, MacroCall, Not, Or, PredSpec,
-    Truth, Var, atom_terms, free_symbols, free_vars, is_first_order,
+    Record, Truth, Var, atom_terms, free_symbols, free_vars, is_first_order,
     map_children, neg, predicate_arities,
     substitute_predicate,
 )
@@ -73,24 +72,38 @@ class _LimitHit(Exception):
     """The search hit a resource limit; args[0] names it."""
 
 
-@dataclass
-class ProverConfig:
-    timeout_ms: int = 5000
-    max_depth: int = 30
-    max_inferences: int | None = None
+class ProverConfig(Record):
+    __slots__ = ("timeout_ms", "max_depth", "max_inferences")
+
+    def __init__(self, timeout_ms: int = 5000, max_depth: int = 30,
+                 max_inferences: int | None = None):
+        self.timeout_ms = timeout_ms
+        self.max_depth = max_depth
+        self.max_inferences = max_inferences
+
+    def with_timeout(self, timeout_ms: int) -> ProverConfig:
+        """This configuration with timeout_ms in place of its own."""
+        return ProverConfig(timeout_ms, self.max_depth, self.max_inferences)
 
 
-@dataclass(eq=False)
-class TableauNode:
+class TableauNode(Record):
     """A node of a (closed) clausal tableau.
 
     The root carries no literal; inner structure: each non-leaf node's
-    children are the literals of one instance of an input clause."""
-    literal: tuple | None      # (sign, Atom|Eq) or None for the root
-    side: str | None           # 'left' | 'right' | None (root)
-    children: list = field(default_factory=list)
-    closed_by: object = None   # TableauNode ancestor, or None for inner
-    clause_index: int | None = None  # input clause used to expand here
+    children are the literals of one instance of an input clause.
+    Nodes are equal only to themselves."""
+    __slots__ = ("literal", "side", "children", "closed_by", "clause_index")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, literal: tuple | None, side: str | None,
+                 children: list | None = None, closed_by: object = None,
+                 clause_index: int | None = None):
+        self.literal = literal    # (sign, Atom|Eq) or None for the root
+        self.side = side          # 'left' | 'right' | None (root)
+        self.children = [] if children is None else children
+        self.closed_by = closed_by  # TableauNode ancestor, or None for inner
+        self.clause_index = clause_index  # input clause used to expand here
 
     def leaves(self):
         if not self.children:
@@ -105,16 +118,24 @@ class TableauNode:
             yield from c.nodes()
 
 
-@dataclass
-class ProofResult:
-    proved: bool
-    tableau: TableauNode | None = None
-    depth: int | None = None
-    inferences: int = 0  # goals, plus extensions with the goal's predicate
-    elapsed_ms: float = 0.0
-    reason: str = ""
-    clauses: list = field(default_factory=list)  # (Clause, side) inputs
-    cached_failures: int = 0  # goals the failure cache cut
+class ProofResult(Record):
+    __slots__ = ("proved", "tableau", "depth", "inferences", "elapsed_ms",
+                 "reason", "clauses", "cached_failures")
+
+    def __init__(self, proved: bool, tableau: TableauNode | None = None,
+                 depth: int | None = None, inferences: int = 0,
+                 elapsed_ms: float = 0.0, reason: str = "",
+                 clauses: list | None = None, cached_failures: int = 0):
+        self.proved = proved
+        self.tableau = tableau
+        self.depth = depth
+        # goals, plus extensions with the goal's predicate
+        self.inferences = inferences
+        self.elapsed_ms = elapsed_ms
+        self.reason = reason
+        # (Clause, side) inputs
+        self.clauses = [] if clauses is None else clauses
+        self.cached_failures = cached_failures  # goals the failure cache cut
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +617,7 @@ def _refute(left, right, config: ProverConfig, simplified=False):
                            reason=str(e)), None, None
     ms = max(0, int((deadline - time.monotonic()) * 1000))
     return (prove_clausal(side_clauses(*sides),
-                          replace(config, timeout_ms=ms)), *sides)
+                          config.with_timeout(ms)), *sides)
 
 
 def prove(f: Formula, config: ProverConfig | None = None) -> ProofResult:
@@ -628,11 +649,13 @@ def model_share(timeout_ms: int) -> int:
 # ---------------------------------------------------------------------------
 # Finite model search
 
-@dataclass
-class Model:
-    size: int
-    functions: dict   # (name, arity) -> {args tuple: element}
-    predicates: dict  # (name, arity) -> set of args tuples
+class Model(Record):
+    __slots__ = ("size", "functions", "predicates")
+
+    def __init__(self, size: int, functions: dict, predicates: dict):
+        self.size = size
+        self.functions = functions    # (name, arity) -> {args tuple: element}
+        self.predicates = predicates  # (name, arity) -> set of args tuples
 
     def eval_term(self, t, env):
         if isinstance(t, Var):
@@ -808,11 +831,14 @@ def find_countermodel(f: Formula, max_size: int = 4,
     return None
 
 
-@dataclass
-class ValidationResult:
-    status: str                 # 'valid' | 'invalid' | 'unknown'
-    proof: ProofResult | None = None
-    model: Model | None = None
+class ValidationResult(Record):
+    __slots__ = ("status", "proof", "model")
+
+    def __init__(self, status: str, proof: ProofResult | None = None,
+                 model: Model | None = None):
+        self.status = status    # 'valid' | 'invalid' | 'unknown'
+        self.proof = proof
+        self.model = model
 
 
 def validate(f: Formula, config: ProverConfig | None = None,
@@ -833,7 +859,7 @@ def validate(f: Formula, config: ProverConfig | None = None,
     m = find_countermodel(f, max_size=model_size, timeout_ms=share)
     if m is not None:
         return ValidationResult("invalid", model=m)
-    r = prove(f, replace(config, timeout_ms=config.timeout_ms - share))
+    r = prove(f, config.with_timeout(config.timeout_ms - share))
     if r.proved:
         return ValidationResult("valid", proof=r)
     return ValidationResult("unknown", proof=r)

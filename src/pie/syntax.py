@@ -23,20 +23,21 @@ is separate: it parenthesizes fully and renames variables.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .formula import (
     And, Atom, Eq, Exists, Exists2, FALSE, Falsity, Fn, ForAll, ForAll2,
-    Formula, Iff, Implies, Lambda, LambdaApp, MacroCall, Not, Or, PredSpec,
-    TRUE, Term, Truth, Var, beta_reduce, predicate_arities,
+    Formula, Frozen, Iff, Implies, Lambda, LambdaApp, MacroCall, Not, Or,
+    PredSpec, Record, TRUE, Term, Truth, Var, beta_reduce, predicate_arities,
 )
 
 
-@dataclass(frozen=True)
-class SourcePosition:
-    line: int
-    column: int
+class SourcePosition(Frozen):
+    __slots__ = ("line", "column")
+
+    def __init__(self, line: int, column: int):
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
 
     def __str__(self):
         return f"{self.line}:{self.column}"
@@ -60,11 +61,14 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
-@dataclass
-class Token:
-    kind: str  # 'name' | 'op' | 'quoted' | 'comment' | 'stop' | 'end'
-    text: str
-    pos: SourcePosition
+class Token(Record):
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: SourcePosition):
+        # 'name' | 'op' | 'quoted' | 'comment' | 'stop' | 'end'
+        self.kind = kind
+        self.text = text
+        self.pos = pos
 
 
 def tokenize(src: str):

@@ -2,6 +2,8 @@
 
 import io
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -287,3 +289,19 @@ def test_process_answers_any_document(text):
             code = main(["process", path])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # every subcommand pays for importing the package; these two took
+    # about a third of it while the records were dataclasses.  Only the
+    # modules that import pie adds count: a site-packages .pth file may
+    # load inspect before any user code runs.
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys; before = set(sys.modules); import pie; "
+            "print(sorted({'dataclasses', 'inspect'}"
+            " & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"

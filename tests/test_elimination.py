@@ -242,9 +242,9 @@ def test_subsumption_counts_do_not_grow(monkeypatch):
     calls = [0]
     subsumes = preprocess.subsumes
 
-    def counted(c, d):
+    def counted(c, d, *deadline):
         calls[0] += 1
-        return subsumes(c, d)
+        return subsumes(c, d, *deadline)
 
     monkeypatch.setattr(preprocess, "subsumes", counted)
     out = eliminate(EliminationTask(circ_chain(3), simp_result="c6"))
@@ -297,6 +297,21 @@ def test_deadline_reaches_the_pipelines(src, pre, simp):
     assert out.status == "resources"
     assert "timeout" in out.reason
     assert time.monotonic() - t0 < 1.2 * 0.2 + 0.05
+
+
+def test_deadline_reaches_subsumption():
+    # p(z,z) matches none of the ground p(a_i,b_i), and backtracking
+    # θ-subsumption learns that only after trying every assignment of the
+    # seven other literals: 28–37 s while subsumes ignored the budget
+    xs = " ; ".join(f"p(x{i},y{i})" for i in range(7))
+    vs = ",".join([f"x{i}" for i in range(7)] + [f"y{i}" for i in range(7)])
+    gs = " ; ".join(f"p(a{i},b{i})" for i in range(8))
+    f = parse_formula(f"ex2(q, (all([{vs},z], ({xs} ; p(z,z))), ({gs}), q))")
+    t0 = time.monotonic()
+    out = eliminate(EliminationTask(f, simp_result="c6", timeout_ms=500))
+    assert out.status == "resources"
+    assert out.reason == "clausal simplification timeout"
+    assert time.monotonic() - t0 < 2.0
 
 
 # p(x0,x1) ; ... ; p(x7,x8), and the 63 edges of an 8-layer, width-3 DAG

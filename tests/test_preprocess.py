@@ -266,7 +266,8 @@ def test_simplification_compares_clauses_with_the_kept_ones_only(
     calls = []
     real = subsumes
     monkeypatch.setattr(preprocess, "subsumes",
-                        lambda c, d: calls.append(1) or real(c, d))
+                        lambda c, d, *deadline:
+                        calls.append(1) or real(c, d, *deadline))
     assert len(simplify_clausal(cf).clauses) == 29
     # comparing with every shorter clause of a subset feature group,
     # dropped ones included, takes 182,160 calls
