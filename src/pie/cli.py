@@ -22,7 +22,16 @@ from .syntax import EmitError, ParseError, emit_dimacs, emit_tptp, \
 
 
 def _timeout_ms(args) -> int:
-    return getattr(args, "timeout", None) or default_timeout_ms()
+    timeout = getattr(args, "timeout", None)
+    return default_timeout_ms() if timeout is None else timeout
+
+
+def _positive_int(text) -> int:
+    """--timeout's type: a positive number of milliseconds."""
+    if not text.isdigit() or int(text) == 0:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive number of milliseconds")
+    return int(text)
 
 
 def _load_table(args) -> MacroTable:
@@ -129,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=help_)
         q.add_argument("formula")
         q.add_argument("--doc", help="PIE document supplying macros")
-        q.add_argument("--timeout", type=int,
+        q.add_argument("--timeout", type=_positive_int,
                        help="reasoner timeout in milliseconds")
         q.set_defaults(func=func)
         return q

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 import time
+from itertools import repeat
 
 from .formula import (
     And, Atom, Context, Eq, Exists, FALSE, Falsity, Fn, ForAll, Formula,
@@ -183,7 +184,9 @@ def _distinct(clauses, deadline):
 
     for c in clauses:
         check_deadline(deadline, "clausification")
-        key = _clause_key(c, order)
+        ren = {}    # variables named by first use
+        lits = sorted(c.literals, key=order) if len(c) > 1 else c.literals
+        key = tuple((s, _canon(a, ren)) for s, a in lits)
         if key in seen:
             continue
         seen.add(key)
@@ -391,18 +394,6 @@ def _literal_order(lit) -> str:
     return re.sub(r"Var\(\w+\)", "V", repr(lit))
 
 
-def _clause_key(c: Clause, order=_literal_order):
-    """c up to variable names: its literals sorted by order
-    (_literal_order, or a function that gives the same), variables named
-    by first use."""
-    ren = {}
-    parts = []
-    lits = sorted(c.literals, key=order) if len(c) > 1 else c.literals
-    for s, a in lits:
-        parts.append((s, _canon(a, ren)))
-    return tuple(parts)
-
-
 def _canon(a, ren):
     def t(x):
         if isinstance(x, Var):
@@ -431,54 +422,87 @@ def match_term(pat, tgt, theta):
     return False
 
 
+def _sides(a):
+    """The argument tuples of atom or equation a, whose matching maps a
+    onto an atom or equation of its predicate: an equation has two."""
+    return ((a.lhs, a.rhs), (a.rhs, a.lhs)) if isinstance(a, Eq) else (a.args,)
+
+
+def _bindings(pats, targets):
+    """The substitutions that map the terms pats onto a tuple of targets,
+    one for each tuple that matches."""
+    out = []
+    for args in targets:
+        theta = {}
+        if all(map(match_term, pats, args, repeat(theta))):
+            out.append(theta)
+    return out
+
+
 def match_lit(pat, tgt, theta):
-    ps, pa = pat
-    ts, ta = tgt
-    if ps != ts:
+    """Extend theta so that it maps literal pat onto tgt, by the first
+    orientation of an equation that matches."""
+    if pat[0] != tgt[0] or pred_key(pat[1]) != pred_key(tgt[1]):
         return False
-    if isinstance(pa, Eq) and isinstance(ta, Eq):
-        saved = dict(theta)
-        if match_term(pa.lhs, ta.lhs, theta) \
-                and match_term(pa.rhs, ta.rhs, theta):
+    for ext in _bindings(_sides(pat[1])[0], _sides(tgt[1])):
+        if all(theta.get(v, t) == t for v, t in ext.items()):
+            theta.update(ext)
             return True
-        theta.clear()
-        theta.update(saved)
-        return match_term(pa.lhs, ta.rhs, theta) \
-            and match_term(pa.rhs, ta.lhs, theta)
-    if isinstance(pa, Atom) and isinstance(ta, Atom) \
-            and pa.pred == ta.pred and len(pa.args) == len(ta.args):
-        return all(match_term(p, t, theta)
-                   for p, t in zip(pa.args, ta.args))
     return False
-
-
-SUBSUMPTION_SIZE_CAP = 12
 
 
 def subsumes(c: Clause, d: Clause, deadline=math.inf) -> bool:
     """True if some substitution maps every literal of c onto a literal
     of d (θ-subsumption; two literals of c may map onto the same one)
-    and c has no more literals than d.  Over SUBSUMPTION_SIZE_CAP
-    literals it only compares the canonical keys (_clause_key).  The
-    search for a substitution can backtrack exponentially, so past the
-    time.monotonic() deadline it raises DeadlineExceeded."""
+    and c has no more literals than d.  Each literal of c gets the list
+    of its bindings onto d, and _agree picks one of each that agree (θ-
+    subsumption as constraint satisfaction, Maloberti & Sebag 2004).
+    Past the time.monotonic() deadline it raises DeadlineExceeded."""
     if len(c) > len(d):
         return False
-    if len(c) > SUBSUMPTION_SIZE_CAP or len(d) > SUBSUMPTION_SIZE_CAP:
-        return _clause_key(c) == _clause_key(d)
+    targets = {}    # sign and predicate -> argument tuples of d
+    for s, b in d.literals:
+        targets.setdefault((s, pred_key(b)), []).extend(_sides(b))
+    lists = []
+    for s, a in c.literals:
+        pats = _sides(a)[0]
+        lists.append(_bindings(pats, targets.get((s, pred_key(a)), ())))
+        if not lists[-1]:
+            return False
+    return _agree(lists, deadline)
 
-    def go(lits, theta):
-        if not lits:
-            return True
+
+def _agree(lists, deadline) -> bool:
+    """True if some binding of each list agrees with those of the others.
+    Arc consistency drops each binding that gives a variable a value some
+    other list does not allow, until nothing changes; then the search
+    splits on the variable of two or more lists with the fewest values
+    left, the first seen of those.  check_deadline runs every round."""
+    while True:
         check_deadline(deadline, "clausal simplification")
-        first, rest = lits[0], lits[1:]
-        for tgt in d.literals:
-            theta2 = dict(theta)
-            if match_lit(first, tgt, theta2) and go(rest, theta2):
-                return True
-        return False
-
-    return go(list(c.literals), {})
+        doms, uses = {}, {}    # variable -> values allowed, lists using it
+        shrunk = False         # whether some list allows a value doms lacks
+        for bs in lists:
+            if not bs:
+                return False
+            for v in bs[0]:     # the bindings of a list bind one set
+                ts = dict.fromkeys(b[v] for b in bs)
+                if v in doms:
+                    both = {t: None for t in doms[v] if t in ts}
+                    shrunk |= len(both) < len(ts) or len(both) < len(doms[v])
+                    doms[v], uses[v] = both, uses[v] + 1
+                else:
+                    doms[v], uses[v] = ts, 1
+        if not shrunk:
+            break
+        lists = [[b for b in bs if all(t in doms[v] for v, t in b.items())]
+                 for bs in lists]
+    split = [v for v in doms if uses[v] > 1 and len(doms[v]) > 1]
+    if not split:
+        return True
+    v = min(split, key=lambda v: len(doms[v]))
+    return any(_agree([[b for b in bs if b.get(v, t) == t] for bs in lists],
+                      deadline) for t in doms[v])
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +546,11 @@ def simplify_clausal(cf: ClausalForm, deadline=math.inf) -> ClausalForm:
 
 
 def _features(c: Clause) -> frozenset:
-    """The features of c: (sign, pred, arity) of each atom, (sign, "=")
-    of each equality, and every function symbol, constants included.  A
-    clause that subsumes c has no feature that c lacks: matching maps each
-    literal onto one of the same sign and predicate and each pattern
-    functor onto the same functor, and clauses with equal canonical keys
-    have equal features."""
-    fs = {(s, "=") if isinstance(a, Eq) else (s, a.pred, len(a.args))
-          for s, a in c.literals}
+    """The features of c: (sign, pred_key) of each literal, and every
+    function symbol, constants included.  A clause that subsumes c has no
+    feature that c lacks: matching maps each literal onto one of the same
+    sign and predicate and each pattern functor onto the same functor."""
+    fs = {(s, pred_key(a)) for s, a in c.literals}
     fs.update(t.functor for t in clause_terms(c) if isinstance(t, Fn))
     return frozenset(fs)
 
@@ -541,9 +562,8 @@ def _drop_subsumed(clauses, deadline=math.inf):
     Given-clause order: shortest first, then by index.  A clause that a
     kept clause subsumes is dropped; else it is kept and drops the kept
     clauses of its length that it subsumes (they do not subsume it).
-    Kept clauses suffice as subsumes is transitive (over
-    SUBSUMPTION_SIZE_CAP literals it compares keys, and equal keys mean
-    equal lengths): what a dropped clause subsumes, a kept one does.
+    Kept clauses suffice as subsumes is transitive: what a dropped clause
+    subsumes, a kept one does.
     subsumes(d, c) needs len(d) <= len(c) and _features(d) <= _features(c),
     so kept clauses are grouped by feature count and set, and c meets only
     the groups of its own set, its subsets and its supersets."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from pie.formula import (
-    And, Atom, Eq, Falsity, Fn, Iff, Implies, Not, Or, Truth,
+    And, Atom, Eq, Falsity, Fn, Iff, Implies, Not, Or, Truth, Var,
 )
 from pie.prover import ProverConfig, prove_implication
 from pie.syntax import parse_formula
@@ -128,6 +128,49 @@ def prop_corpus(min_size=1000):
         if len(out) >= 4 * min_size:
             break
     return out[:max(min_size, 1200)]
+
+
+# ---------------------------------------------------------------------------
+# θ-subsumption by brute force (independent of pie.preprocess)
+
+def _match(pat, tgt, theta):
+    """Extend theta so that the term pat maps onto the term tgt."""
+    if isinstance(pat, Var):
+        return theta.setdefault(pat.name, tgt) == tgt
+    return (isinstance(tgt, Fn) and pat.functor == tgt.functor
+            and len(pat.args) == len(tgt.args)
+            and all(_match(p, t, theta) for p, t in zip(pat.args, tgt.args)))
+
+
+def _maps(lit, tgt, flip, theta):
+    """Extend theta so that literal lit maps onto literal tgt; flip swaps
+    the sides of an equation lit."""
+    (s, a), (ts, b) = lit, tgt
+    if s != ts or isinstance(a, Eq) != isinstance(b, Eq):
+        return False
+    if isinstance(a, Eq):
+        pats = (a.rhs, a.lhs) if flip else (a.lhs, a.rhs)
+        return _match(pats[0], b.lhs, theta) and _match(pats[1], b.rhs, theta)
+    return (a.pred == b.pred and len(a.args) == len(b.args)
+            and all(_match(p, t, theta) for p, t in zip(a.args, b.args)))
+
+
+def theta_subsumes(c, d):
+    """True if c has no more literals than d and one substitution maps
+    every literal of c onto a literal of d.  Tries every map from the
+    literals of c to those of d, with each orientation of each equation
+    of c."""
+    if len(c.literals) > len(d.literals):
+        return False
+    flips = [(False, True) if isinstance(a, Eq) else (False,)
+             for _, a in c.literals]
+    for targets in itertools.product(d.literals, repeat=len(c.literals)):
+        for flip in itertools.product(*flips):
+            theta = {}
+            if all(_maps(lit, tgt, f, theta)
+                   for lit, tgt, f in zip(c.literals, targets, flip)):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

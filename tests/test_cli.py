@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from pie.cli import main
 from pie.formula import Occ, free_symbols
+from pie.prover import validate
 from pie.syntax import parse_formula
 
 from oracles import fo_equivalent
@@ -190,6 +191,29 @@ def test_env_timeout(capsys, monkeypatch):
     monkeypatch.setenv("PIE_TIMEOUT_MS", "50")
     code, out, _ = run(capsys, "valid", "p ; ~p")
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "abc", "1.5"])
+def test_timeout_must_be_a_positive_integer(capsys, value):
+    # 0 used to mean the default timeout and -5 a budget already spent
+    code, out, err = run(capsys, "valid", "p ; ~p", "--timeout", value)
+    assert code == 2 and out == ""
+    assert "--timeout" in err
+
+
+def test_timeout_flows_into_the_reasoner(capsys, monkeypatch):
+    # --timeout overrides PIE_TIMEOUT_MS, which holds without it
+    seen = []
+
+    def recording(f, cfg):
+        seen.append(cfg.timeout_ms)
+        return validate(f, cfg)
+
+    monkeypatch.setattr("pie.cli.validate", recording)
+    monkeypatch.setenv("PIE_TIMEOUT_MS", "50")
+    assert run(capsys, "valid", "p ; ~p", "--timeout", "1")[0] == 0
+    assert run(capsys, "valid", "p ; ~p")[0] == 0
+    assert seen == [1, 50]
 
 
 def test_deep_nesting_is_usage_error(capsys):

@@ -300,13 +300,16 @@ def test_deadline_reaches_the_pipelines(src, pre, simp):
 
 
 def test_deadline_reaches_subsumption():
-    # p(z,z) matches none of the ground p(a_i,b_i), and backtracking
-    # θ-subsumption learns that only after trying every assignment of the
-    # seven other literals: 28–37 s while subsumes ignored the budget
-    xs = " ; ".join(f"p(x{i},y{i})" for i in range(7))
-    vs = ",".join([f"x{i}" for i in range(7)] + [f"y{i}" for i in range(7)])
-    gs = " ; ".join(f"p(a{i},b{i})" for i in range(8))
-    f = parse_formula(f"ex2(q, (all([{vs},z], ({xs} ; p(z,z))), ({gs}), q))")
+    # the 36 edges e(xi,xj), i<j, over nine variables against the 56
+    # ground edges over eight constants: a map of the first clause into
+    # the second is a map of nine pigeons into eight holes, which arc
+    # consistency learns only after splitting on most variables
+    xs = " ; ".join(f"e(x{i},x{j})" for i in range(9)
+                    for j in range(i + 1, 9))
+    vs = ",".join(f"x{i}" for i in range(9))
+    gs = " ; ".join(f"e(a{i},a{j})" for i in range(8) for j in range(8)
+                    if i != j)
+    f = parse_formula(f"ex2(q, (all([{vs}], ({xs})), ({gs}), q))")
     t0 = time.monotonic()
     out = eliminate(EliminationTask(f, simp_result="c6", timeout_ms=500))
     assert out.status == "resources"
@@ -314,22 +317,24 @@ def test_deadline_reaches_subsumption():
     assert time.monotonic() - t0 < 2.0
 
 
-# p(x0,x1) ; ... ; p(x7,x8), and the 63 edges of an 8-layer, width-3 DAG
-PATH8 = " ; ".join(f"p(x{i},x{i + 1})" for i in range(8))
-DAG8 = " ; ".join(f"p(n{i}_{a},n{i + 1}_{b})"
-                  for i in range(7) for a in range(3) for b in range(3))
-
-
 def test_subsumption_size_cap_keeps_wide_clauses_cheap():
-    # The path clause does not subsume the DAG clause (the DAG has no
-    # walk of 8 edges), and backtracking θ-subsumption learns that only
-    # after trying every walk.  SUBSUMPTION_SIZE_CAP sends clauses this
-    # wide to the key comparison instead: with the cap removed this
-    # input ran out of its 2 s budget, with it it takes about 0.01 s.
-    xs = ",".join(f"x{i}" for i in range(9))
-    f = parse_formula(f"ex2(q, (all([{xs}], ({PATH8})), ({DAG8}), q))")
-    out = eliminate(EliminationTask(f, simp_result="c6", timeout_ms=2000))
-    assert out.status == "success", out.reason
+    # The path clause p(x0,x1) ; ... does not subsume the clause of the
+    # edges of a layered DAG (the DAG has no walk of as many edges), and
+    # backtracking θ-subsumption learns that only after trying every
+    # walk: without a size cap, a matcher that backtracked literal by
+    # literal ran out of the 2 s budget on the first input (8 layers of
+    # width 3, 63 edges) and had not returned after two minutes on the
+    # second.  Arc consistency refutes each in milliseconds.
+    for layers, width in [(8, 3), (12, 4)]:
+        path = " ; ".join(f"p(x{i},x{i + 1})" for i in range(layers))
+        dag = " ; ".join(f"p(n{i}_{a},n{i + 1}_{b})"
+                         for i in range(layers - 1)
+                         for a in range(width) for b in range(width))
+        xs = ",".join(f"x{i}" for i in range(layers + 1))
+        f = parse_formula(f"ex2(q, (all([{xs}], ({path})), ({dag}), q))")
+        out = eliminate(EliminationTask(f, simp_result="c6",
+                                        timeout_ms=2000))
+        assert out.status == "success", out.reason
 
 
 @pytest.mark.parametrize("simp", [None, "c6"])

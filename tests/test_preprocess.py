@@ -13,7 +13,7 @@ from pie.formula import (
     free_symbols, map_children, neg, nnf,
 )
 from pie.preprocess import (
-    ClausalForm, Clause, SUBSUMPTION_SIZE_CAP, UnskolemizeError, _Products,
+    ClausalForm, Clause, UnskolemizeError, _Products,
     _cnf, _drop_subsumed, _features, _simplify_clause, clause_terms,
     clause_to_formula, clausify, lit_subst, pipeline_c6, pipeline_d6,
     simplify_clausal, subsumes, unskolemize,
@@ -22,7 +22,7 @@ from pie.syntax import parse_formula, print_text
 
 from oracles import (
     eval_clauses, fo_equivalent, prop_atoms, prop_corpus, prop_equivalent,
-    truth_table, eval_prop,
+    theta_subsumes, truth_table, eval_prop,
 )
 
 
@@ -139,9 +139,8 @@ atoms = st.one_of(
     st.just(Atom("r")),
     st.builds(Eq, terms, terms))
 literals = st.tuples(st.booleans(), atoms)
-# clauses over the cap are compared by canonical key only; clauses of at
-# most five literals keep the backtracking matcher fast
-LONG = (SUBSUMPTION_SIZE_CAP + 1, SUBSUMPTION_SIZE_CAP + 3)
+# long clauses, 13 to 15 literals, next to short ones of at most five
+LONG = (13, 15)
 
 
 def clauses(min_size=0, max_size=5):
@@ -242,15 +241,63 @@ def test_drop_subsumed_keeps_first_of_mutual_subsumers():
 
 
 def test_variants_over_the_cap_subsume_each_other():
-    # over the cap subsumes compares canonical keys, whose literal order
-    # must not depend on variable names: sorted by name, q(X,a) comes
-    # before q(Y,b) but q(Z,a) after q(A,b)
-    wide = tuple((True, Atom(f"l{i}")) for i in range(SUBSUMPTION_SIZE_CAP))
-    c = Clause(wide + ((True, Atom("q", (X, A))), (True, Atom("q", (Y, B)))))
-    d = Clause(wide + ((True, Atom("q", (Z, A))),
-                       (True, Atom("q", (Var("A"), B)))))
-    assert subsumes(c, d) and subsumes(d, c)
-    assert _drop_subsumed([c, d]) == [c]
+    # wide variants subsume each other whatever their variable names and
+    # literal order.  Sorted by repr with the names, q(X,a) comes before
+    # q(Y,b) but q(Z,a) after q(A,b); without the names, p(X,Y) and
+    # p(Y,Z) tie, so a key that then names the variables by first use
+    # depends on their input order.
+    wide = tuple((True, Atom(f"l{i}")) for i in range(12))
+    qxa, qyb = (True, Atom("q", (X, A))), (True, Atom("q", (Y, B)))
+    qza, qab = (True, Atom("q", (Z, A))), (True, Atom("q", (Var("A"), B)))
+    pxy, pyz = (True, Atom("p", (X, Y))), (True, Atom("p", (Y, Z)))
+    for c, d in [(Clause(wide + (qxa, qyb)), Clause(wide + (qza, qab))),
+                 (Clause(wide + (pxy, pyz)), Clause(wide + (pyz, pxy)))]:
+        assert subsumes(c, d) and subsumes(d, c)
+        assert _drop_subsumed([c, d]) == [c]
+
+
+def test_equations_match_in_either_orientation():
+    # x = y ; p(x) maps onto a = b ; p(b) by x -> b, y -> a only, so the
+    # equation must be matched against b = a, whichever literal comes first
+    x, y = Var("x"), Var("y")
+    eq, px = (True, Eq(x, y)), (True, Atom("p", (x,)))
+    d = Clause(((True, Eq(A, B)), (True, Atom("p", (B,)))))
+    assert subsumes(Clause((eq, px)), d) and subsumes(Clause((px, eq)), d)
+    f = parse_formula("all([x,y], (x = y ; p(x))), (a = b ; p(b))")
+    assert len(simplify_clausal(clausify(f)).clauses) == 1
+
+
+# equations over variables mostly, whose orientation matters more often
+equation_sides = st.sampled_from([X, Y, Z, A, Fn("f", (X,))])
+equations = st.tuples(st.booleans(), st.builds(Eq, equation_sides,
+                                               equation_sides))
+
+
+@st.composite
+def small_pairs(draw):
+    """A clause c of at most four literals and a clause d of at most six:
+    an instance of c with equations turned round and literals added, such
+    an instance with one literal replaced, or any clause."""
+    c = Clause(tuple(draw(st.lists(st.one_of(literals, equations),
+                                   max_size=4))))
+    kind = draw(st.sampled_from(["instance", "near miss", "other"]))
+    if kind == "other":
+        return c, draw(clauses(max_size=6))
+    theta = draw(st.fixed_dictionaries({v: terms for v in VARS}))
+    lits = [lit_subst(l, theta) for l in c.literals]
+    lits = [(s, Eq(a.rhs, a.lhs)) if isinstance(a, Eq) and draw(st.booleans())
+            else (s, a) for s, a in lits]
+    if kind == "near miss" and lits:
+        lits[draw(st.integers(0, len(lits) - 1))] = draw(literals)
+    lits += draw(st.lists(literals, max_size=6 - len(lits)))
+    return c, Clause(tuple(draw(st.permutations(lits))))
+
+
+@given(small_pairs())
+@settings(deadline=None, max_examples=500)
+def test_subsumes_agrees_with_brute_force(pair):
+    c, d = pair
+    assert subsumes(c, d) == theta_subsumes(c, d)
 
 
 # The d6 input of an elimination (under ex2 p): its d6 output clausifies
@@ -391,10 +438,10 @@ def test_cnf_makes_the_clauses_of_all_products(f):
 # A unit whose complement is another unit: the result is contradictory
 # like its input.
 UNIT_CLASH = "(s ; (s, (s ; r))), ~s"
-# Over the cap subsumes compares canonical keys only: clausify leaves out
-# the second clause, whose literals include the first one's, but keeps
-# the third, which has other variable names.
-WIDE = " ; ".join(f"l{i}" for i in range(SUBSUMPTION_SIZE_CAP))
+# Thirteen and fourteen literals: clausify leaves out the second clause,
+# whose literals include the first one's, and keeps the third, which has
+# other variable names; the first clause subsumes the third.
+WIDE = " ; ".join(f"l{i}" for i in range(12))
 OVER_CAP = (f"all(x, (({WIDE} ; p(x)), ({WIDE} ; p(x) ; q(x)))), "
             f"all(y, ({WIDE} ; p(y) ; q(y)))")
 # Equality resolution turns the second clause into the unit p(a), which
@@ -410,7 +457,7 @@ SHARED_VAR = ("all([x,y], ((~x=f(y), q, r(y) ; (~x=y ; ~y=y ; p(a,f(x))) ;"
 
 @pytest.mark.parametrize("src,lengths", [
     (UNIT_CLASH, [1, 1]),
-    (OVER_CAP, [SUBSUMPTION_SIZE_CAP + 1, SUBSUMPTION_SIZE_CAP + 2]),
+    (OVER_CAP, [13]),
     (EQ_COLLAPSE, [1]),
     (SHARED_VAR, [3]),
 ])
