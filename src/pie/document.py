@@ -272,10 +272,10 @@ SYSTEM_DEFAULTS = {
 
 
 def default_timeout_ms() -> int:
-    """The reasoner timeout: PIE_TIMEOUT_MS if it is a number of
-    milliseconds, else SYSTEM_DEFAULTS["timeout_ms"]."""
+    """The reasoner timeout: PIE_TIMEOUT_MS if it is a positive number
+    of milliseconds, else SYSTEM_DEFAULTS["timeout_ms"]."""
     env = os.environ.get("PIE_TIMEOUT_MS")
-    if env and env.isdigit():
+    if env and env.isdecimal() and int(env) > 0:
         return int(env)
     return SYSTEM_DEFAULTS["timeout_ms"]
 
@@ -401,12 +401,16 @@ def run_directive(d: Directive, pctx: ProcessingContext) -> DirectiveResult:
 
 def _int_option(opts: dict, key: str) -> int:
     """opts[key] as an integer; a ValueError naming the option and its
-    value if it is not one."""
+    value if it is not one, or if it is not positive and key is not
+    model_size (whose 0 skips the model search)."""
     try:
-        return int(opts[key])
+        n = int(opts[key])
     except (TypeError, ValueError):
         raise ValueError(
             f"option {key}={opts[key]} is not an integer") from None
+    if n <= 0 and key != "model_size":
+        raise ValueError(f"option {key}={opts[key]} is not positive")
+    return n
 
 
 _LATEX_SPECIALS = str.maketrans(

@@ -344,27 +344,38 @@ class _Products:
         tautology, so is D's), so the final clauses stay equivalent.  The
         x!=t condition keeps a clause that equality resolution could make
         stronger than C: p(x) ; p(a) ; x!=a becomes p(a), which implies
-        p(x) ; p(a).  A kept C whose literals D includes is either D itself,
-        found in a set, or shorter than D.  So kept clauses are filed under
-        their x!=t literals, their newest literal and their size, and D is
-        compared only with the shorter clauses in its own literals'
-        buckets."""
-        out, index, kept, sizes = [], {}, set(), set()
+        p(x) ; p(a).  Each kept clause is filed under its sorted literal
+        ids in the set-trie of its x!=t literals, which D then queries."""
+        out, tries = [], {}     # x!=t bits -> set-trie
         deadline, veqs = self.deadline, self.veqs
-        for c in clauses:
+        for c in filter(None, clauses):
             check_deadline(deadline, "clausification")
-            if c is None or c[1] in kept:
-                continue
-            ids, m = c
-            v, n = m & veqs, len(ids)
-            if any(not k & ~m for s in sizes if s < n for i in ids
-                   for k in index.get((v, i, s), ())):
-                continue
-            index.setdefault((v, m.bit_length() - 1, n), []).append(m)
-            kept.add(m)
-            sizes.add(n)
-            out.append(c)
+            ids, trie = sorted(c[0]), tries.setdefault(c[1] & veqs, {})
+            if not any(_subsets(trie, ids)):
+                _stored(trie, ids).append(c)
+                out.append(c)
         return out
+
+
+def _stored(trie, xs):
+    """The list filed under the sorted ints xs, made empty if new, in a
+    set-trie: dicts nested by each int in turn, a node's list at None."""
+    for x in xs:
+        trie = trie.setdefault(x, {})
+    return trie.setdefault(None, [])
+
+
+def _subsets(trie, xs):
+    """The lists that the set-trie files under subsets of the sorted ints
+    xs, in lexicographic order (Savnik 2013)."""
+    stack = [(trie, 0)]     # a node, and where its keys start in xs
+    while stack:
+        node, i = stack.pop()
+        if None in node:
+            yield node[None]
+        for k in range(len(xs) - 1, i - 1, -1):     # smallest on top
+            if xs[k] in node:
+                stack.append((node[xs[k]], k + 1))
 
 
 def _mk_clause(lits):
@@ -559,33 +570,32 @@ def _drop_subsumed(clauses, deadline=math.inf):
     """The clauses that no other clause subsumes, in order; of clauses
     that subsume each other only the first is kept.
 
-    Given-clause order: shortest first, then by index.  A clause that a
-    kept clause subsumes is dropped; else it is kept and drops the kept
-    clauses of its length that it subsumes (they do not subsume it).
-    Kept clauses suffice as subsumes is transitive: what a dropped clause
-    subsumes, a kept one does.
-    subsumes(d, c) needs len(d) <= len(c) and _features(d) <= _features(c),
-    so kept clauses are grouped by feature count and set, and c meets only
-    the groups of its own set, its subsets and its supersets."""
-    kept = {}   # feature count -> feature set -> indices of the kept clauses
-    for i in sorted(range(len(clauses)), key=lambda i: len(clauses[i])):
+    Given-clause order: by length, then feature count, then index.  A
+    clause that a kept clause subsumes is dropped; else it is kept and
+    drops the kept clauses it subsumes (subsumes is transitive, so kept
+    ones suffice).  subsumes(d, c) needs len(d) <= len(c) and _features(d)
+    <= _features(c): c meets the kept clauses a set-trie files under
+    subsets of its features.  A kept clause that c subsumes, but not c
+    it, came earlier: it is as long as c, has no more features and all
+    of c's, so c drops only clauses filed under its own feature set."""
+    ids = {}    # feature -> int
+    feats = [sorted(ids.setdefault(f, len(ids)) for f in _features(c))
+             for c in clauses]
+    trie, filed = {}, []    # the lists of the trie
+    for i in sorted(range(len(clauses)),
+                    key=lambda i: (len(clauses[i]), len(feats[i]))):
         check_deadline(deadline, "clausal simplification")
-        c, fs = clauses[i], _features(clauses[i])
-        same = kept.get(len(fs), {}).get(fs, [])
-        below = [js for n, g in kept.items() if n < len(fs)
-                 for k, js in g.items() if k <= fs]
+        c = clauses[i]
         if any(subsumes(clauses[j], c, deadline)
-               for js in [same, *below] for j in js):
+               for js in _subsets(trie, feats[i]) for j in js):
             continue
-        above = [js for n, g in kept.items() if n > len(fs)
-                 for k, js in g.items() if fs <= k]
-        for js in [same, *above]:
-            js[:] = [j for j in js if len(clauses[j]) < len(c)
-                     or not subsumes(c, clauses[j], deadline)]
+        same = _stored(trie, feats[i])
+        if not same:
+            filed.append(same)
+        same[:] = [j for j in same if len(clauses[j]) < len(c)
+                   or not subsumes(c, clauses[j], deadline)]
         same.append(i)
-        kept.setdefault(len(fs), {})[fs] = same
-    return [clauses[i] for i in sorted(
-        j for g in kept.values() for js in g.values() for j in js)]
+    return [clauses[i] for i in sorted(j for js in filed for j in js)]
 
 
 def _simplify_clause(c: Clause):

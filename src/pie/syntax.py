@@ -472,14 +472,6 @@ def latex_definition_head(name: str, params) -> str:
     return _call(latex_symbol(name), [_arg(p, _LATEX_PARAMS) for p in params])
 
 
-def print_term(t: Term) -> str:
-    return _term(t, _TEXT)
-
-
-def latex_term(t: Term) -> str:
-    return _term(t, _LATEX)
-
-
 def print_text(f: Formula) -> str:
     """Text printing; quantifier bodies are parenthesized when compound,
     matching console output style."""

@@ -193,6 +193,27 @@ def test_env_timeout(capsys, monkeypatch):
     assert code == 0
 
 
+def test_zero_budgets_fall_back_or_fail_alone(capsys, monkeypatch, tmp_path):
+    # PIE_TIMEOUT_MS=0 and the options timeout_ms=0 and max_depth=0 used
+    # to run every reasoner with no budget: valid, elim and ipol failed
+    monkeypatch.setenv("PIE_TIMEOUT_MS", "0")
+    assert run(capsys, "valid", "p ; ~p") == (0, "valid\n", "")
+    code, out, _ = run(capsys, "elim", "ex2(p, (p, (p -> q(a))))")
+    assert code == 0 and out.strip() == "q(a)"
+    code, out, _ = run(capsys, "ipol", "(p, q -> (p ; r))")
+    assert code == 0 and out.strip() == "p"
+    doc = tmp_path / "zero.pie"
+    doc.write_text(
+        ":- ppl_printtime(ppl_valid((p ; ~p), [timeout_ms=0])).\n"
+        ":- ppl_printtime(ppl_valid((p ; ~p), [max_depth=0])).\n"
+        ":- ppl_printtime(ppl_valid((p ; ~p), [model_size=0])).\n")
+    code, out, err = run(capsys, "process", str(doc))
+    assert code == 0 and err == ""
+    assert "option timeout\\_ms=0 is not positive." in out
+    assert "option max\\_depth=0 is not positive." in out
+    assert out.count("is valid.") == 1
+
+
 @pytest.mark.parametrize("value", ["0", "-5", "abc", "1.5"])
 def test_timeout_must_be_a_positive_integer(capsys, value):
     # 0 used to mean the default timeout and -5 a budget already spent

@@ -281,6 +281,27 @@ def test_non_integer_options_fail_their_directive_alone():
     assert r.detail == "option max_depth=[1, 2] is not an integer"
 
 
+@pytest.mark.parametrize("option", ["timeout_ms", "max_depth"])
+def test_zero_budgets_fail_their_directive_alone(option):
+    # a budget of 0 used to run every reasoner with none, and
+    # ppl_valid((p ; ~p)) printed "failed to validate"
+    doc, table = load_document(
+        f":- ppl_printtime(ppl_valid((p ; ~p), [{option}=0])).\n"
+        f"{VALID_P}")
+    opt = option.replace("_", "\\_")
+    assert process_document(doc, table).split("\n\n") == [
+        "\\noindent $\\mathsf{p} \\lor \\lnot \\mathsf{p}$\\\\\n"
+        f"option {opt}=0 is not positive.", VALID_P_TEXT + "\n"]
+    r, _ = run_one(VALID_P, **{option: 0})
+    assert r.status == "failed"
+    assert r.detail == f"option {option}=0 is not positive"
+
+
+def test_model_size_zero_skips_the_model_search():
+    r, _ = run_one(VALID_P, model_size=0)
+    assert r.status == "ok" and r.detail == "valid"
+
+
 ELIM_P = ":- ppl_printtime(ppl_elim(ex2(p, (p, (p -> q(a)))), [{}])).\n"
 ELIM_P_TEXT = ("\\noindent $\\exists \\mathit{{p}} \\, (\\mathsf{{p}} \\land "
                "(\\mathsf{{p}} \\rightarrow \\mathsf{{q}}(\\mathsf{{a}})))$\\\\\n"
@@ -400,3 +421,11 @@ def test_env_timeout_respected(monkeypatch):
     monkeypatch.setenv("PIE_TIMEOUT_MS", "1234")
     from pie.document import system_defaults
     assert system_defaults()["timeout_ms"] == 1234
+
+
+@pytest.mark.parametrize("value", ["0", "00", "-5", "abc", "\u00b2"])
+def test_env_timeout_must_be_a_positive_integer(monkeypatch, value):
+    # PIE_TIMEOUT_MS=0 used to run every reasoner with no budget
+    monkeypatch.setenv("PIE_TIMEOUT_MS", value)
+    from pie.document import system_defaults
+    assert system_defaults()["timeout_ms"] == 5000

@@ -13,10 +13,10 @@ from pie.formula import (
     free_symbols, map_children, neg, nnf,
 )
 from pie.preprocess import (
-    ClausalForm, Clause, UnskolemizeError, _Products,
-    _cnf, _drop_subsumed, _features, _simplify_clause, clause_terms,
-    clause_to_formula, clausify, lit_subst, pipeline_c6, pipeline_d6,
-    simplify_clausal, subsumes, unskolemize,
+    ClausalForm, Clause, UnskolemizeError, _Products, _cnf,
+    _drop_subsumed, _features, _simplify_clause, _stored, _subsets,
+    clause_terms, clause_to_formula, clausify, lit_subst, pipeline_c6,
+    pipeline_d6, simplify_clausal, subsumes, unskolemize,
 )
 from pie.syntax import parse_formula, print_text
 
@@ -240,6 +240,17 @@ def test_drop_subsumed_keeps_first_of_mutual_subsumers():
     assert drop_subsumed_all_pairs([same, apart]) == [apart]
 
 
+def test_drop_subsumed_visits_fewer_features_first():
+    # pa_qa comes first and is as long as p_q, which subsumes it and has
+    # fewer features; a kept clause drops only clauses of its own feature
+    # set, so p_q has to be visited first
+    pa_qa = Clause(((True, Atom("p", (A,))), (True, Atom("q", (A,)))))
+    p_q = Clause(((True, Atom("p", (X,))), (True, Atom("q", (Y,)))))
+    assert _features(p_q) < _features(pa_qa)
+    assert _drop_subsumed([pa_qa, p_q]) == [p_q]
+    assert drop_subsumed_all_pairs([pa_qa, p_q]) == [p_q]
+
+
 def test_variants_over_the_cap_subsume_each_other():
     # wide variants subsume each other whatever their variable names and
     # literal order.  Sorted by repr with the names, q(X,a) comes before
@@ -334,6 +345,17 @@ def test_cnf_leaves_out_clauses_with_an_earlier_clause_s_literals():
     assert _cnf(parse_formula("p, (p ; q)")) == [((True, Atom("p")),)]
 
 
+def test_subset_queries_take_clauses_of_any_length():
+    # a set-trie is as deep as its longest set: a walk that recursed once
+    # per level raised RecursionError on these 3,000 literals
+    atoms = [Atom(f"p{i}") for i in range(3000)]
+    longer = Or((*atoms, Atom("q")))
+    assert len(_cnf(And((Or(tuple(atoms)), longer)))) == 1
+    cf = clausify(And((longer, Or(tuple(atoms)))))
+    assert len(cf.clauses) == 2
+    assert len(simplify_clausal(cf).clauses) == 1
+
+
 def all_products(g):
     """The reference for _cnf: every clause the distributive law gives,
     repeated literals, tautologies and repeated clauses included."""
@@ -411,15 +433,38 @@ def _keep_reference(masks, veqs):
 
 @given(st.lists(st.one_of(st.none(), st.integers(1, 2 ** 10 - 1)),
                 max_size=40),
-       st.integers(0, 2 ** 10 - 1))
+       st.integers(0, 2 ** 10 - 1), st.randoms(use_true_random=False))
 @settings(deadline=None, max_examples=300)
-def test_keep_matches_a_brute_force_reference(masks, veqs):
+def test_keep_matches_a_brute_force_reference(masks, veqs, rng):
+    # a product clause lists its literal ids in the order they joined it
+    def shuffled(m):
+        ids = [i for i in range(10) if m >> i & 1]
+        return tuple(rng.sample(ids, len(ids)))
+
     run = _Products(math.inf)
     run.veqs = veqs
-    clauses = [None if m is None else
-               (tuple(i for i in range(10) if m >> i & 1), m) for m in masks]
+    clauses = [None if m is None else (shuffled(m), m) for m in masks]
     kept = run.keep(clauses)
     assert [m for _, m in kept] == _keep_reference(masks, veqs)
+
+
+@given(st.lists(st.frozensets(st.integers(0, 7)), max_size=30),
+       st.frozensets(st.integers(0, 7)))
+@settings(deadline=None, max_examples=300)
+def test_subsets_yields_the_lists_filed_under_subsets(sets, query):
+    trie = {}
+    for n, s in enumerate(sets):
+        _stored(trie, sorted(s)).append(n)
+    got = list(_subsets(trie, sorted(query)))
+    # each list once, in the lexicographic order of the sets filed
+    keys = [tuple(sorted(sets[js[0]])) for js in got]
+    assert keys == sorted(set(keys))
+    assert [n for js in got for n in js] == [
+        n for n, s in sorted(enumerate(sets), key=lambda p: sorted(p[1]))
+        if s <= query]
+    # _stored hands back the list already filed
+    for n, s in enumerate(sets):
+        assert n in _stored(trie, sorted(s))
 
 
 @given(FORMULAS)
