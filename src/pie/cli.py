@@ -6,6 +6,7 @@ Exit status: 0 success, 1 reasoning failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .document import (
@@ -15,15 +16,10 @@ from .elimination import EliminationTask, eliminate
 from .formula import Context, Implies
 from .interpolation import InterpolationTask, interpolate
 from .macros import MacroError, MacroTable, expand
-from .preprocess import PreprocessError, clausify
+from .preprocess import DeadlineExceeded, PreprocessError, budget, clausify
 from .prover import ProverConfig, validate
 from .syntax import EmitError, ParseError, emit_dimacs, emit_tptp, \
     parse_formula, print_text
-
-
-def _timeout_ms(args) -> int:
-    timeout = getattr(args, "timeout", None)
-    return default_timeout_ms() if timeout is None else timeout
 
 
 def _positive_int(text) -> int:
@@ -65,7 +61,7 @@ def cmd_expand(args) -> int:
 def cmd_elim(args) -> int:
     f = _expand_arg(args)
     task = EliminationTask(f, pre=args.pre, simp_result=args.simp,
-                           timeout_ms=_timeout_ms(args))
+                           timeout_ms=args.timeout)
     out = eliminate(task)
     if out.status != "success":
         print(f"elimination failed ({out.status}): {out.reason}",
@@ -80,7 +76,7 @@ def cmd_ipol(args) -> int:
     if not isinstance(f, Implies):
         print("interpolation needs an implication F -> G", file=sys.stderr)
         return 2
-    cfg = ProverConfig(timeout_ms=_timeout_ms(args))
+    cfg = ProverConfig(timeout_ms=args.timeout)
     task = InterpolationTask(f.lhs, f.rhs,
                              simp_sides=not args.no_simp_sides,
                              dot_path=args.dot)
@@ -94,7 +90,7 @@ def cmd_ipol(args) -> int:
 
 def cmd_valid(args) -> int:
     f = _expand_arg(args)
-    cfg = ProverConfig(timeout_ms=_timeout_ms(args))
+    cfg = ProverConfig(timeout_ms=args.timeout)
     out = validate(f, cfg)
     if out.status == "valid":
         print("valid")
@@ -139,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("formula")
         q.add_argument("--doc", help="PIE document supplying macros")
         q.add_argument("--timeout", type=_positive_int,
-                       help="reasoner timeout in milliseconds")
+                       help="timeout in milliseconds, expansion included")
         q.set_defaults(func=func)
         return q
 
@@ -165,12 +161,15 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    # process has no --timeout: each directive has a budget of its own
+    args.timeout = getattr(args, "timeout", math.inf) or default_timeout_ms()
     try:
-        return args.func(args)
+        with budget(args.timeout):
+            return args.func(args)
     except (ParseError, DocumentError, MacroError, PreprocessError,
             EmitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, DeadlineExceeded) else 2
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return 2

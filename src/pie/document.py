@@ -12,6 +12,7 @@ document give their line and column in it.  Documents are loaded completely
 
 from __future__ import annotations
 
+import math
 import os
 
 from .elimination import EliminationTask, eliminate
@@ -21,7 +22,7 @@ from .macros import (
     BUILTINS, BuiltinCall, MacroDefinition, MacroError, MacroTable,
     as_formula, define_macro, expand, is_placeholder,
 )
-from .preprocess import PIPELINES
+from .preprocess import PIPELINES, DeadlineExceeded, budget
 from .prover import ProverConfig, validate
 from .syntax import (
     ParseError, Parser, Token, latex_definition_head, print_latex, tokenize,
@@ -314,13 +315,24 @@ def _inline(f: Formula) -> str:
 
 
 def run_directive(d: Directive, pctx: ProcessingContext) -> DirectiveResult:
-    """Execute one directive under the layered option set."""
+    """Execute one directive under the layered option set, within its
+    timeout_ms from before its macro expansion on."""
     opts = dict(pctx.defaults)
     opts.update(d.options)
+    try:
+        timeout_ms = _int_option(opts, "timeout_ms")
+    except ValueError:
+        timeout_ms = math.inf   # the directive fails on it after expansion
+    with budget(timeout_ms):
+        return _run_directive(d, pctx, opts)
+
+
+def _run_directive(d, pctx, opts):
+    """run_directive, within the budget that it opened."""
     printing = bool(opts.get("printing", True))
     try:
         f = expand(pctx.table, d.formula, pctx.ctx)
-    except MacroError as e:
+    except (MacroError, DeadlineExceeded) as e:
         return _failed(d, str(e), printing)
     if d.kind == "form":
         return DirectiveResult("ok", _display(f) if printing else "", f)

@@ -9,8 +9,6 @@ quantifiers are handled through the dual ∀p F = ¬∃p ¬F.
 
 from __future__ import annotations
 
-import time
-
 from .formula import (
     And, Atom, Context, Eq, Exists, Exists2, FALSE, Falsity, ForAll, ForAll2,
     Formula, FormulaError, Iff, Implies, Lambda, LambdaApp, MacroCall, Not,
@@ -19,9 +17,9 @@ from .formula import (
     predicate_arities, subst_in_term, subst_vars, substitute_predicate,
 )
 from .preprocess import (
-    Clause, DeadlineExceeded, PIPELINES, check_deadline, clause_subst,
-    clause_to_formula, clause_vars, clausify, simplify_clausal, unskolemize,
-    UnskolemizeError,
+    Clause, DeadlineExceeded, PIPELINES, UnskolemizeError, budget,
+    check_deadline, clause_subst, clause_to_formula, clause_vars, clausify,
+    simplify_clausal, unskolemize,
 )
 
 
@@ -177,7 +175,7 @@ def _p_lits(c: Clause, p):
     return pos, negs
 
 
-def _split_cases(clauses, p, def_sign, deadline):
+def _split_cases(clauses, p, def_sign):
     """Case lists in which every clause has at most one literal of the
     definitional sign of p and no such literal together with one of the
     opposite sign; non-ground blockers make the split unsound."""
@@ -201,7 +199,7 @@ def _split_cases(clauses, p, def_sign, deadline):
         cases = new
         if len(cases) > BRANCH_BOUND:
             raise _Nonreducible("case-split branch bound exceeded")
-        check_deadline(deadline, "elimination")
+        check_deadline("elimination")
     return cases
 
 
@@ -272,10 +270,10 @@ def _ackermann_case(p, arity, clauses, def_sign, ctx):
     return ackermann_rewrite(PredSpec(p, arity), conj([head, b]))
 
 
-def _eliminate_pred(p, body, ctx, task, deadline):
+def _eliminate_pred(p, body, ctx, task):
     """∃p body with first-order body; returns an equivalent first-order
     formula or raises."""
-    check_deadline(deadline, "elimination")
+    check_deadline("elimination")
     arities = predicate_arities(body).get(p, set())
     if not arities:
         return body
@@ -285,23 +283,23 @@ def _eliminate_pred(p, body, ctx, task, deadline):
     g = body
     if task.pre:
         # the pipeline names its variables from a Context of its own
-        g = PIPELINES[task.pre](g, deadline)
+        g = PIPELINES[task.pre](g)
     ctx.reserve_formula(g)
-    cf = simplify_clausal(clausify(g, ctx, deadline), deadline)
+    cf = simplify_clausal(clausify(g, ctx))
     reasons = []
     for def_sign in (True, False):
         try:
-            cases = _split_cases(cf.clauses, p, def_sign, deadline)
+            cases = _split_cases(cf.clauses, p, def_sign)
             results = [_ackermann_case(p, arity, case, def_sign, ctx)
                        for case in cases]
             out = truth_simplify(disj(results))
-            return _restore_quantifiers(out, cf.skolems, ctx, deadline)
+            return _restore_quantifiers(out, cf.skolems, ctx)
         except EliminationError as e:
             reasons.append(f"def_sign={def_sign}: {e}")
     raise _Nonreducible("; ".join(reasons))
 
 
-def _restore_quantifiers(f, skolems, ctx, deadline):
+def _restore_quantifiers(f, skolems, ctx):
     """Un-Skolemize the symbols of the skolems record (name -> arity)
     introduced during the elimination step."""
     if not skolems:
@@ -310,11 +308,11 @@ def _restore_quantifiers(f, skolems, ctx, deadline):
     if names.isdisjoint(skolems):
         return f
     ctx.reserve(names)   # f has the Ackermann step's bound variables
-    cf = simplify_clausal(clausify(f, ctx, deadline), deadline)
+    cf = simplify_clausal(clausify(f, ctx))
     # ctx made both records' Skolems fresh, so their names differ
     cf.skolems.update(skolems)
     try:
-        return unskolemize(cf, ctx, deadline)
+        return unskolemize(cf, ctx)
     except UnskolemizeError as e:
         raise _Nonreducible(f"cannot un-Skolemize result: {e}")
 
@@ -326,14 +324,14 @@ def eliminate(task: EliminationTask) -> EliminationOutcome:
     """Eliminate all predicate quantifiers from task.formula within
     task.timeout_ms, the pre and simp_result pipelines included; past it
     the outcome is 'resources'."""
-    deadline = time.monotonic() + task.timeout_ms / 1000.0
     f = task.formula
-    ctx = Context()
-    ctx.reserve_formula(f)
     try:
-        out = truth_simplify(_elim(f, ctx, task, deadline))
-        if task.simp_result:
-            out = PIPELINES[task.simp_result](out, deadline)
+        with budget(task.timeout_ms):
+            ctx = Context()
+            ctx.reserve_formula(f)
+            out = truth_simplify(_elim(f, ctx, task))
+            if task.simp_result:
+                out = PIPELINES[task.simp_result](out)
     except DeadlineExceeded as e:
         return EliminationOutcome("resources", reason=str(e))
     except EliminationError as e:
@@ -341,25 +339,24 @@ def eliminate(task: EliminationTask) -> EliminationOutcome:
     return EliminationOutcome("success", result=out)
 
 
-def _elim(f, ctx, task, deadline):
+def _elim(f, ctx, task):
     if isinstance(f, Exists2):
-        body = _elim(f.body, ctx, task, deadline)
+        body = _elim(f.body, ctx, task)
         for p in f.preds:
-            body = truth_simplify(
-                _eliminate_pred(p.name, body, ctx, task, deadline))
+            body = truth_simplify(_eliminate_pred(p.name, body, ctx, task))
         return body
     if isinstance(f, ForAll2):
         try:
             dual = Exists2(f.preds, nnf(neg(f.body)))
         except FormulaError as e:   # a lambda or a macro call in the body
             raise EliminationError(str(e))
-        out = _elim(dual, ctx, task, deadline)
+        out = _elim(dual, ctx, task)
         return nnf(neg(out))
     if isinstance(f, LambdaApp):
-        return _elim(beta_reduce(f), ctx, task, deadline)
+        return _elim(beta_reduce(f), ctx, task)
     if isinstance(f, (Lambda, MacroCall)):
         raise EliminationError(f"cannot eliminate inside {f!r}")
-    return map_children(f, lambda g: _elim(g, ctx, task, deadline))
+    return map_children(f, lambda g: _elim(g, ctx, task))
 
 
 # ---------------------------------------------------------------------------

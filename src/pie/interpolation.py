@@ -7,14 +7,12 @@ side are generalized to quantified variables.
 
 from __future__ import annotations
 
-import time
-
 from .formula import (
     Atom, Context, Eq, Exists, FALSE, Fn, ForAll, Formula, Implies, Not,
     Record, TRUE, Var, atom_terms, conj, disj, free_symbols, is_first_order,
     map_atom, map_children, neg, subformulas, subterms,
 )
-from .preprocess import clause_terms
+from .preprocess import budget, clause_terms
 from .prover import (
     Model, ProofResult, ProverConfig, ProverError, TableauNode, _refute,
     check_tableau, find_countermodel, model_share, reduce_so_universal,
@@ -93,8 +91,9 @@ def _constants(f: Formula):
     return list(out)
 
 
-def _vocab(f: Formula):
-    return {(o.kind, o.name, o.arity) for o in free_symbols(f)}
+def _vocab(f: Formula) -> dict:
+    """(kind, name, arity) -> polarity, of each free symbol of f."""
+    return {(o.kind, o.name, o.arity): o.polarity for o in free_symbols(f)}
 
 
 def generalize_constants(h: Formula, left_vocab, right_vocab) -> Formula:
@@ -146,6 +145,19 @@ def _replace_constants(f, mapping):
 # ---------------------------------------------------------------------------
 # Driver
 
+def _unshared(h, *sides) -> str:
+    """Why h is no Craig-Lyndon interpolant of the two sides, given by
+    their _vocab: the first symbol of h that the sides do not both have,
+    a predicate with each polarity it has in h; "" if there is none."""
+    for o in sorted(free_symbols(h), key=lambda o: (o.kind, o.name, o.arity)):
+        # a function symbol's polarity is always "both"
+        if any(side.get((o.kind, o.name, o.arity)) not in ("both", o.polarity)
+               for side in sides):
+            pol = f" ({o.polarity})" if o.kind == "predicate" else ""
+            return f"{o.kind} {o.name}/{o.arity}{pol} is not shared"
+    return ""
+
+
 def _clause_functions(clauses):
     """All function symbols (with arity) in a clause list."""
     return {("function", t.functor, len(t.args))
@@ -160,30 +172,31 @@ def interpolate(task: InterpolationTask,
     Second-order quantifiers are first reduced by reduce_so_universal;
     input it cannot reduce fails, with the reason in the proof.  The
     proof gets all of the budget but model_share of it; when the proof
-    fails, a countermodel search gets that share."""
+    fails, a countermodel search gets that share.  An interpolant with
+    an unshared symbol fails, the reason from _unshared in the proof."""
     if config is None:
         config = ProverConfig()
-    left, right = task.left, task.right
-    if not (is_first_order(left) and is_first_order(right)):
-        # validity-preserving second-order reduction of the implication
-        try:
-            red = reduce_so_universal(Implies(left, right))
-        except ProverError as e:
-            return Interpolant(FALSE, ProofResult(False, reason=str(e)),
-                               status="failed")
-        left, right = red.lhs, red.rhs
-    share = model_share(config.timeout_ms)
-    result, left_cs, right_cs = _refute(
-        [left], [neg(right)],
-        config.with_timeout(config.timeout_ms - share),
-        task.simp_sides)
-    if not result.proved:
-        if left_cs is not None:     # not a clausification timeout
-            m = find_countermodel(Implies(left, right), max_size=3,
-                                  timeout_ms=share)
-            if m is not None:
-                return Interpolant(FALSE, model=m, status="not_valid")
-        return Interpolant(FALSE, proof=result, status="failed")
+    with budget(config.timeout_ms):
+        left, right = task.left, task.right
+        if not (is_first_order(left) and is_first_order(right)):
+            # validity-preserving second-order reduction of the implication
+            try:
+                red = reduce_so_universal(Implies(left, right))
+            except ProverError as e:
+                return Interpolant(FALSE, ProofResult(False, reason=str(e)),
+                                   status="failed")
+            left, right = red.lhs, red.rhs
+        share = model_share(config.timeout_ms)
+        with budget(config.timeout_ms - share):
+            result, left_cs, right_cs = _refute([left], [neg(right)], config,
+                                                task.simp_sides)
+        if not result.proved:
+            if left_cs is not None:     # not a clausification timeout
+                m = find_countermodel(Implies(left, right), max_size=3,
+                                      timeout_ms=share)
+                if m is not None:
+                    return Interpolant(FALSE, model=m, status="not_valid")
+            return Interpolant(FALSE, proof=result, status="failed")
     if not check_tableau(result.tableau, result.clauses):
         raise InterpolationError("prover returned an unsound tableau")
     if result.tableau.literal is None and not result.tableau.children:
@@ -192,9 +205,13 @@ def interpolate(task: InterpolationTask,
         h = FALSE if side == "left" else TRUE
     else:
         h = extract_from_tableau(result.tableau)
-    left_vocab = _vocab(left) | _clause_functions(left_cs)
-    right_vocab = _vocab(right) | _clause_functions(right_cs)
-    h = generalize_constants(h, left_vocab, right_vocab)
+    left_vocab, right_vocab = _vocab(left), _vocab(right)
+    h = generalize_constants(h, left_vocab.keys() | _clause_functions(left_cs),
+                             right_vocab.keys() | _clause_functions(right_cs))
+    reason = _unshared(h, left_vocab, right_vocab)
+    if reason:
+        return Interpolant(FALSE, ProofResult(False, reason=reason),
+                           status="failed")
     if task.dot_path:
         with open(task.dot_path, "w") as fh:
             fh.write(emit_tableau_dot(result.tableau))
@@ -208,19 +225,17 @@ def symmetric_interpolate(parts, config: ProverConfig | None = None):
     interpolate calls share config.timeout_ms: each gets what is left."""
     if config is None:
         config = ProverConfig()
-    deadline = time.monotonic() + config.timeout_ms / 1000.0
     parts = list(parts)
     hs = []
-    for i, f in enumerate(parts):
-        others = hs[:i] + parts[i + 1:]
-        rest = conj(others) if others else TRUE
-        task = InterpolationTask(f, neg(rest))
-        left = int((deadline - time.monotonic()) * 1000)
-        out = interpolate(task, config.with_timeout(max(left, 0)))
-        if out.status != "interpolant":
-            raise InterpolationError(
-                f"symmetric interpolation failed at part {i}: {out.status}")
-        hs.append(out.formula)
+    with budget(config.timeout_ms):
+        for i, f in enumerate(parts):
+            others = hs[:i] + parts[i + 1:]
+            rest = conj(others) if others else TRUE
+            out = interpolate(InterpolationTask(f, neg(rest)), config)
+            if out.status != "interpolant":
+                raise InterpolationError(f"symmetric interpolation failed "
+                                         f"at part {i}: {out.status}")
+            hs.append(out.formula)
     return hs
 
 

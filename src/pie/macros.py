@@ -14,6 +14,7 @@ from .formula import (
     Term, Var, apply_lambda, conj, forall, free_symbols, map_children,
     map_term, predicate_arities, subformulas, substitute_predicate, subterms,
 )
+from .preprocess import check_deadline
 
 
 class MacroError(Exception):
@@ -397,6 +398,7 @@ class _Expander:
         return a
 
     def expand_call(self, name, args, depth):
+        check_deadline("macro expansion")
         args = tuple(self.expand_arg(a, depth + 1) for a in args)
         for mdef in self.table.lookup(name, len(args)):
             binding = {}

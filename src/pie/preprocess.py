@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 import time
+from contextvars import ContextVar
 from itertools import repeat
 
 from .formula import (
@@ -33,17 +34,42 @@ class DeadlineExceeded(PreprocessError):
     pass
 
 
-def check_deadline(deadline, layer):
-    """Raise DeadlineExceeded, naming layer, past the time.monotonic()
-    deadline."""
-    if time.monotonic() > deadline:
+# the time.monotonic() time at which the open budget ends
+_deadline = ContextVar("deadline", default=math.inf)
+
+
+def deadline(timeout_ms=math.inf):
+    """The time.monotonic() time at which the open budget ends, or
+    timeout_ms from now if that is earlier."""
+    return min(_deadline.get(), time.monotonic() + timeout_ms / 1000)
+
+
+class budget:
+    """with budget(timeout_ms): the block, in its thread or task, runs
+    until deadline(timeout_ms), so it never outlasts the budget around."""
+    __slots__ = ("timeout_ms", "token")
+
+    def __init__(self, timeout_ms):
+        self.timeout_ms = timeout_ms
+
+    def __enter__(self):
+        self.token = _deadline.set(deadline(self.timeout_ms))
+
+    def __exit__(self, *exc):
+        _deadline.reset(self.token)
+
+
+def check_deadline(layer):
+    """Raise DeadlineExceeded, naming layer, once the open budget has
+    ended."""
+    if time.monotonic() > _deadline.get():
         raise DeadlineExceeded(f"{layer} timeout")
 
 
-def _checked(items, deadline, layer):
-    """The items, with check_deadline(deadline, layer) before each."""
+def _checked(items, layer):
+    """The items, with check_deadline(layer) before each."""
     for x in items:
-        check_deadline(deadline, layer)
+        check_deadline(layer)
         yield x
 
 
@@ -138,8 +164,7 @@ def _push_one(q, v, body):
 # ---------------------------------------------------------------------------
 # Clausification
 
-def clausify(f: Formula, ctx: Context | None = None,
-             deadline=math.inf) -> ClausalForm:
+def clausify(f: Formula, ctx: Context | None = None) -> ClausalForm:
     """Convert a first-order, macro-free formula to clausal form: the
     CNF of its Skolemized matrix, without the product clauses that an
     earlier one implies (see _cnf).
@@ -152,23 +177,24 @@ def clausify(f: Formula, ctx: Context | None = None,
     Skolem names avoid every name of f only when ctx is None; a caller
     that passes a ctx reserves the names of f in it first.  Tautologies,
     repeated literals and clauses that repeat an earlier one up to
-    variable names are left out.  Past the time.monotonic() deadline it
+    variable names are left out.  Once the open budget has ended it
     raises DeadlineExceeded."""
+    check_deadline("clausification")
     if not is_first_order(f):
         raise PreprocessError("clausify requires a first-order formula")
     if ctx is None:
         ctx = Context()
         ctx.reserve_formula(f)
     g = miniscope(nnf(forall(sorted(free_vars(f)), f)))
-    check_deadline(deadline, "clausification")
+    check_deadline("clausification")
     cf = ClausalForm([])
     taken = frozenset(o.name for o in free_symbols(g))
     matrix, _ = _skolemize(g, {}, (), cf, ctx, taken)
-    cf.clauses = _distinct(map(Clause, _cnf(matrix, deadline)), deadline)
+    cf.clauses = _distinct(map(Clause, _cnf(matrix)))
     return cf
 
 
-def _distinct(clauses, deadline):
+def _distinct(clauses):
     """The clauses without those that repeat an earlier one up to
     variable names; just the empty clause if there is one.  Literals are
     ordered by their repr less the variable names, so no name matters."""
@@ -183,7 +209,7 @@ def _distinct(clauses, deadline):
         return r[1]
 
     for c in clauses:
-        check_deadline(deadline, "clausification")
+        check_deadline("clausification")
         ren = {}    # variables named by first use
         lits = sorted(c.literals, key=order) if len(c) > 1 else c.literals
         key = tuple((s, _canon(a, ren)) for s, a in lits)
@@ -243,7 +269,7 @@ def _skolemize(g, env, univ, cf, ctx, taken):
     return subst_vars(g, env), taken
 
 
-def _cnf(g, deadline=math.inf):
+def _cnf(g):
     """Distribute a quantifier-free NNF matrix into a list of literal
     tuples.
 
@@ -252,9 +278,9 @@ def _cnf(g, deadline=math.inf):
     made, and so is one whose literals include all the literals of an
     earlier kept clause with the same x!=t literals (see _Products.keep);
     a repeated literal and t!=t are left out of it.  A kept clause
-    implies each dropped one, so the clauses stay equivalent to g.  Past
-    the time.monotonic() deadline it raises DeadlineExceeded."""
-    run = _Products(deadline)
+    implies each dropped one, so the clauses stay equivalent to g.  Once
+    the open budget has ended it raises DeadlineExceeded."""
+    run = _Products()
     lit = run.lits.__getitem__
     return [tuple(map(lit, ids)) for ids, _ in run.cnf(g)]
 
@@ -264,8 +290,7 @@ class _Products:
     (negative) and 2j+1 (positive), and a clause is a pair (tuple of
     literal ids, int mask with bit i set for each id i)."""
 
-    def __init__(self, deadline):
-        self.deadline = deadline
+    def __init__(self):
         self.atoms = {}      # atom -> j
         self.lits = []       # id -> literal
         self.same = []       # id -> bits of it and its mirror image a=b/b=a
@@ -315,7 +340,7 @@ class _Products:
             for a in g.args:
                 part = self.cnf(a)
                 if len(out) == 1 and len(part) == 1:
-                    check_deadline(self.deadline, "clausification")
+                    check_deadline("clausification")
                     c = self.join(out[0], part[0])
                     out = [c] if c else []
                 else:
@@ -347,9 +372,9 @@ class _Products:
         p(x) ; p(a).  Each kept clause is filed under its sorted literal
         ids in the set-trie of its x!=t literals, which D then queries."""
         out, tries = [], {}     # x!=t bits -> set-trie
-        deadline, veqs = self.deadline, self.veqs
+        veqs = self.veqs
         for c in filter(None, clauses):
-            check_deadline(deadline, "clausification")
+            check_deadline("clausification")
             ids, trie = sorted(c[0]), tries.setdefault(c[1] & veqs, {})
             if not any(_subsets(trie, ids)):
                 _stored(trie, ids).append(c)
@@ -367,15 +392,25 @@ def _stored(trie, xs):
 
 def _subsets(trie, xs):
     """The lists that the set-trie files under subsets of the sorted ints
-    xs, in lexicographic order (Savnik 2013)."""
+    xs, in lexicographic order (Savnik 2013).  A node's scan of xs ends
+    once it has met all of the node's keys."""
     stack = [(trie, 0)]     # a node, and where its keys start in xs
     while stack:
         node, i = stack.pop()
+        keys = len(node)            # its children
         if None in node:
             yield node[None]
-        for k in range(len(xs) - 1, i - 1, -1):     # smallest on top
+            keys -= 1
+        if not keys:
+            continue
+        found = []
+        for k in range(i, len(xs)):
             if xs[k] in node:
-                stack.append((node[xs[k]], k + 1))
+                found.append((node[xs[k]], k + 1))
+                if len(found) == keys:
+                    break
+        found.reverse()             # smallest on top
+        stack += found
 
 
 def _mk_clause(lits):
@@ -462,13 +497,13 @@ def match_lit(pat, tgt, theta):
     return False
 
 
-def subsumes(c: Clause, d: Clause, deadline=math.inf) -> bool:
+def subsumes(c: Clause, d: Clause) -> bool:
     """True if some substitution maps every literal of c onto a literal
     of d (θ-subsumption; two literals of c may map onto the same one)
     and c has no more literals than d.  Each literal of c gets the list
     of its bindings onto d, and _agree picks one of each that agree (θ-
     subsumption as constraint satisfaction, Maloberti & Sebag 2004).
-    Past the time.monotonic() deadline it raises DeadlineExceeded."""
+    Once the open budget has ended it raises DeadlineExceeded."""
     if len(c) > len(d):
         return False
     targets = {}    # sign and predicate -> argument tuples of d
@@ -480,17 +515,17 @@ def subsumes(c: Clause, d: Clause, deadline=math.inf) -> bool:
         lists.append(_bindings(pats, targets.get((s, pred_key(a)), ())))
         if not lists[-1]:
             return False
-    return _agree(lists, deadline)
+    return _agree(lists)
 
 
-def _agree(lists, deadline) -> bool:
+def _agree(lists) -> bool:
     """True if some binding of each list agrees with those of the others.
     Arc consistency drops each binding that gives a variable a value some
     other list does not allow, until nothing changes; then the search
     splits on the variable of two or more lists with the fewest values
     left, the first seen of those.  check_deadline runs every round."""
     while True:
-        check_deadline(deadline, "clausal simplification")
+        check_deadline("clausal simplification")
         doms, uses = {}, {}    # variable -> values allowed, lists using it
         shrunk = False         # whether some list allows a value doms lacks
         for bs in lists:
@@ -512,17 +547,17 @@ def _agree(lists, deadline) -> bool:
     if not split:
         return True
     v = min(split, key=lambda v: len(doms[v]))
-    return any(_agree([[b for b in bs if b.get(v, t) == t] for bs in lists],
-                      deadline) for t in doms[v])
+    return any(_agree([[b for b in bs if b.get(v, t) == t] for bs in lists])
+               for t in doms[v])
 
 
 # ---------------------------------------------------------------------------
 # Clausal simplification
 
-def simplify_clausal(cf: ClausalForm, deadline=math.inf) -> ClausalForm:
+def simplify_clausal(cf: ClausalForm) -> ClausalForm:
     """Fixpoint of tautology/duplicate/subsumption deletion, equality
     resolution and unit subsumption resolution; every step preserves
-    equivalence.  Past the time.monotonic() deadline it raises
+    equivalence.  Once the open budget has ended it raises
     DeadlineExceeded.
 
     Each clause is normalised once, first (_simplify_clause): deleting
@@ -530,7 +565,7 @@ def simplify_clausal(cf: ClausalForm, deadline=math.inf) -> ClausalForm:
     rounds only resolve away literals and drop subsumed clauses."""
     layer = "clausal simplification"
     clauses = [c for c in map(_simplify_clause,
-                              _checked(cf.clauses, deadline, layer))
+                              _checked(cf.clauses, layer))
                if c is not None]
     changed = True
     while changed:
@@ -541,7 +576,7 @@ def simplify_clausal(cf: ClausalForm, deadline=math.inf) -> ClausalForm:
         # unit subsumption resolution
         units = [c.literals[0] for c in clauses if len(c) == 1]
         out = []
-        for c in _checked(clauses, deadline, layer):
+        for c in _checked(clauses, layer):
             kept = tuple(lit for lit in c.literals if len(c) == 1 or not any(
                 match_lit(u, lit_complement(lit), {}) for u in units))
             if len(kept) != len(c):
@@ -550,7 +585,7 @@ def simplify_clausal(cf: ClausalForm, deadline=math.inf) -> ClausalForm:
             out.append(c)
         clauses = out
         # subsumption (incl. duplicates)
-        kept = _drop_subsumed(clauses, deadline)
+        kept = _drop_subsumed(clauses)
         changed |= len(kept) != len(clauses)
         clauses = kept
     return ClausalForm(clauses, dict(cf.skolems))
@@ -566,7 +601,7 @@ def _features(c: Clause) -> frozenset:
     return frozenset(fs)
 
 
-def _drop_subsumed(clauses, deadline=math.inf):
+def _drop_subsumed(clauses):
     """The clauses that no other clause subsumes, in order; of clauses
     that subsume each other only the first is kept.
 
@@ -584,16 +619,16 @@ def _drop_subsumed(clauses, deadline=math.inf):
     trie, filed = {}, []    # the lists of the trie
     for i in sorted(range(len(clauses)),
                     key=lambda i: (len(clauses[i]), len(feats[i]))):
-        check_deadline(deadline, "clausal simplification")
+        check_deadline("clausal simplification")
         c = clauses[i]
-        if any(subsumes(clauses[j], c, deadline)
+        if any(subsumes(clauses[j], c)
                for js in _subsets(trie, feats[i]) for j in js):
             continue
         same = _stored(trie, feats[i])
         if not same:
             filed.append(same)
         same[:] = [j for j in same if len(clauses[j]) < len(c)
-                   or not subsumes(c, clauses[j], deadline)]
+                   or not subsumes(c, clauses[j])]
         same.append(i)
     return [clauses[i] for i in sorted(j for js in filed for j in js)]
 
@@ -662,8 +697,7 @@ def clause_to_formula(c: Clause, taken=(),
 # ---------------------------------------------------------------------------
 # Un-Skolemization
 
-def unskolemize(cf: ClausalForm, ctx: Context | None = None,
-                deadline=math.inf) -> Formula:
+def unskolemize(cf: ClausalForm, ctx: Context | None = None) -> Formula:
     """Reconstruct a quantified formula without the Skolem symbols that
     cf.skolems records; other function symbols stay as they are.  The
     fresh variables avoid the names in ctx and every variable and
@@ -674,20 +708,18 @@ def unskolemize(cf: ClausalForm, ctx: Context | None = None,
     arguments of its one Skolem function f, then ex over f.  Raises
     UnskolemizeError when a group has two Skolem functions, or when a
     clause has f-terms other than one f(X1, ..., Xn) over distinct
-    variables, and DeadlineExceeded past the time.monotonic()
-    deadline."""
+    variables, and DeadlineExceeded once the open budget has ended."""
     if ctx is None:
         ctx = Context()
     ctx.reserve(t.name if isinstance(t, Var) else t.functor
                 for c in cf.clauses for t in clause_terms(c))
     if any(len(c) == 0 for c in cf.clauses):
         return FALSE
-    return conj(_unskolemize_group(cs, syms, cf.skolems, ctx, deadline)
-                for syms, cs in _skolem_groups(cf.clauses, cf.skolems,
-                                               deadline))
+    return conj(_unskolemize_group(cs, syms, cf.skolems, ctx)
+                for syms, cs in _skolem_groups(cf.clauses, cf.skolems))
 
 
-def _skolem_groups(clauses, skolems, deadline):
+def _skolem_groups(clauses, skolems):
     """(Skolem symbols, clauses) for each group of clauses connected
     through shared Skolem symbols; a clause without one is a group of
     its own.  The groups come in the order of the last clause that
@@ -695,7 +727,7 @@ def _skolem_groups(clauses, skolems, deadline):
     groups it merged, in their order."""
     groups = {}   # index of the last clause that joined -> (syms, clauses)
     owner = {}    # Skolem symbol -> the key of its group
-    for i, c in enumerate(_checked(clauses, deadline, "un-Skolemization")):
+    for i, c in enumerate(_checked(clauses, "un-Skolemization")):
         syms = {t.functor for t in clause_terms(c)
                 if isinstance(t, Fn) and t.functor in skolems}
         merged = [c]
@@ -708,7 +740,7 @@ def _skolem_groups(clauses, skolems, deadline):
     return groups.values()
 
 
-def _unskolemize_group(cs, syms, skolems, ctx, deadline):
+def _unskolemize_group(cs, syms, skolems, ctx):
     """ex ys all xs ex y cs, where ys stand for the Skolem constants of
     syms and y for f(xs), f its one Skolem function."""
     funs = [s for s in syms if skolems[s]]
@@ -719,7 +751,7 @@ def _unskolemize_group(cs, syms, skolems, ctx, deadline):
     bound = set(xs) | set(ys.values())
     consts = {Fn(s, ()): Var(y) for s, y in ys.items() if s not in funs}
     parts = []
-    for c in _checked(cs, deadline, "un-Skolemization"):
+    for c in _checked(cs, "un-Skolemization"):
         uses = {t for t in clause_terms(c)
                 if isinstance(t, Fn) and t.functor in funs}
         if len(uses) > 1:
@@ -741,22 +773,21 @@ def _unskolemize_group(cs, syms, skolems, ctx, deadline):
 # ---------------------------------------------------------------------------
 # Named pipelines
 
-def pipeline_c6(f: Formula, deadline=math.inf) -> Formula:
+def pipeline_c6(f: Formula) -> Formula:
     """CNF, clausal simplification, back to a quantified formula; falls
-    back to the input if un-Skolemization is not invertible.  Past the
-    time.monotonic() deadline it raises DeadlineExceeded."""
+    back to the input if un-Skolemization is not invertible.  Once the
+    open budget has ended it raises DeadlineExceeded."""
     if not is_first_order(f):
         raise PreprocessError("pipeline c6 requires a first-order formula")
     try:
-        cf = simplify_clausal(clausify(f, None, deadline), deadline)
-        return unskolemize(cf, None, deadline)
+        return unskolemize(simplify_clausal(clausify(f)))
     except UnskolemizeError:
         return f
 
 
-def pipeline_d6(f: Formula, deadline=math.inf) -> Formula:
+def pipeline_d6(f: Formula) -> Formula:
     """DNF dual of c6 via simplification of the negation."""
-    g = pipeline_c6(nnf(neg(f)), deadline)
+    g = pipeline_c6(nnf(neg(f)))
     return nnf(neg(g))
 
 

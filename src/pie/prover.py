@@ -59,7 +59,7 @@ from .formula import (
     substitute_predicate,
 )
 from .preprocess import (
-    Clause, DeadlineExceeded, clause_terms, clausify,
+    Clause, DeadlineExceeded, budget, clause_terms, clausify, deadline,
     match_lit, pred_key, simplify_clausal,
 )
 
@@ -80,10 +80,6 @@ class ProverConfig(Record):
         self.timeout_ms = timeout_ms
         self.max_depth = max_depth
         self.max_inferences = max_inferences
-
-    def with_timeout(self, timeout_ms: int) -> ProverConfig:
-        """This configuration with timeout_ms in place of its own."""
-        return ProverConfig(timeout_ms, self.max_depth, self.max_inferences)
 
 
 class TableauNode(Record):
@@ -318,7 +314,7 @@ class _Search:
         # remaining depth at which that goal's subtree yielded nothing
         self.failed = {}
         self.cached_failures = 0
-        self.deadline = time.monotonic() + config.timeout_ms / 1000.0
+        self.deadline = deadline(config.timeout_ms)
         # clause index -> _compile of the clause, made when a goal first
         # tries the clause: most clauses of a large input never are
         self.compiled = {}
@@ -601,23 +597,22 @@ def _refute(left, right, config: ProverConfig, simplified=False):
     the two sides, or the failed result and None, None when
     clausification runs out of time."""
     t0 = time.monotonic()
-    deadline = t0 + config.timeout_ms / 1000.0
     ctx = Context()
     for f in left + right:
         ctx.reserve_formula(f)
 
     def clauses(f):
-        cf = clausify(f, ctx, deadline)
-        return (simplify_clausal(cf, deadline) if simplified else cf).clauses
+        cf = clausify(f, ctx)
+        return (simplify_clausal(cf) if simplified else cf).clauses
 
-    try:
-        sides = [[c for f in fs for c in clauses(f)] for fs in (left, right)]
-    except DeadlineExceeded as e:
-        return ProofResult(False, elapsed_ms=(time.monotonic() - t0) * 1000,
-                           reason=str(e)), None, None
-    ms = max(0, int((deadline - time.monotonic()) * 1000))
-    return (prove_clausal(side_clauses(*sides),
-                          config.with_timeout(ms)), *sides)
+    with budget(config.timeout_ms):
+        try:
+            sides = [[c for f in fs for c in clauses(f)]
+                     for fs in (left, right)]
+        except DeadlineExceeded as e:
+            ms = (time.monotonic() - t0) * 1000
+            return ProofResult(False, elapsed_ms=ms, reason=str(e)), None, None
+        return prove_clausal(side_clauses(*sides), config), *sides
 
 
 def prove(f: Formula, config: ProverConfig | None = None) -> ProofResult:
@@ -778,7 +773,7 @@ def find_countermodel(f: Formula, max_size: int = 4,
     tries only the elements 1..top+1, top the largest element its key
     and the earlier cells name; the model is still the first falsifying
     one in the cells' lexicographic order, which never exceeds that
-    bound.  None at timeout_ms, or at a size with more than
+    bound.  None at deadline(timeout_ms), or at a size with more than
     MODEL_SEARCH_CAP interpretations, counted in full, without the
     bound."""
     if not is_first_order(f):
@@ -787,7 +782,7 @@ def find_countermodel(f: Formula, max_size: int = 4,
     g = ForAll(fv, f) if fv else f
     syms = sorted({(o.kind == "predicate", o.name, o.arity)
                    for o in free_symbols(g)})
-    deadline = time.monotonic() + timeout_ms / 1000.0
+    end = deadline(timeout_ms)
     for n in range(1, max_size + 1):
         dom = range(1, n + 1)
         funs, preds, cells = {}, {}, []
@@ -804,7 +799,7 @@ def find_countermodel(f: Formula, max_size: int = 4,
         def search(i, top):
             """Whether cells i.. can falsify g; None at the deadline.
             top is the largest element the cells before i name."""
-            if time.monotonic() > deadline:
+            if time.monotonic() > end:
                 return None
             v = _eval3(g, funs, preds, dom, {})
             if v != 0.5:
@@ -849,17 +844,18 @@ def validate(f: Formula, config: ProverConfig | None = None,
     input it cannot reduce is 'unknown', with the reason in the proof."""
     if config is None:
         config = ProverConfig()
-    if not is_first_order(f):
-        try:
-            f = reduce_so_universal(f)
-        except ProverError as e:
-            r = ProofResult(False, reason=str(e))
-            return ValidationResult("unknown", proof=r)
-    share = model_share(config.timeout_ms)
-    m = find_countermodel(f, max_size=model_size, timeout_ms=share)
-    if m is not None:
-        return ValidationResult("invalid", model=m)
-    r = prove(f, config.with_timeout(config.timeout_ms - share))
+    with budget(config.timeout_ms):
+        if not is_first_order(f):
+            try:
+                f = reduce_so_universal(f)
+            except ProverError as e:
+                r = ProofResult(False, reason=str(e))
+                return ValidationResult("unknown", proof=r)
+        share = model_share(config.timeout_ms)
+        m = find_countermodel(f, max_size=model_size, timeout_ms=share)
+        if m is not None:
+            return ValidationResult("invalid", model=m)
+        r = prove(f, config)
     if r.proved:
         return ValidationResult("valid", proof=r)
     return ValidationResult("unknown", proof=r)

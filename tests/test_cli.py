@@ -237,6 +237,15 @@ def test_timeout_flows_into_the_reasoner(capsys, monkeypatch):
     assert seen == [1, 50]
 
 
+def test_timeout_bounds_every_formula_subcommand(capsys):
+    # the CNF has 2^16 clauses; dimacs ignored --timeout and ran 4.4 s
+    d = " ; ".join(f"(a{i}, b{i})" for i in range(16))
+    t0 = time.monotonic()
+    code, _, err = run(capsys, "dimacs", d, "--timeout", "100")
+    assert time.monotonic() - t0 < 1.2 * 0.1 + 0.05
+    assert code == 1 and err == "error: clausification timeout\n"
+
+
 def test_deep_nesting_is_usage_error(capsys):
     chain = " -> ".join(f"p{i}" for i in range(1000))
     code, out, err = run(capsys, "valid", chain)

@@ -1,6 +1,7 @@
 """Literate document processing and LaTeX rendering."""
 
 import os
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,6 +261,19 @@ def test_timeout_option_flows_into_elim():
     r, _ = run_one(
         ":- ppl_printtime(ppl_elim(ex2(p, (p ; q)), [timeout_ms=1])).\n")
     assert r.status in ("ok", "failed")
+
+
+def test_timeout_covers_macro_expansion():
+    # 300 calls of a macro that doubles its argument, each 8 deep: the
+    # budget started after the expansion, and this took 5 to 6 s
+    calls = ", ".join("m(" * 8 + f"p{i}" + ")" * 8 for i in range(300))
+    doc, table = load_document(
+        "def(m(X)) :: ((X, a) ; (X, b)).\n"
+        f":- ppl_printtime(ppl_valid(({calls}), [timeout_ms=100])).\n")
+    t0 = time.monotonic()
+    r = run_directive(doc.items[-1], ProcessingContext(table))
+    assert time.monotonic() - t0 < 1.2 * 0.1 + 0.05
+    assert r.status == "failed" and r.detail == "macro expansion timeout"
 
 
 def test_non_integer_options_fail_their_directive_alone():

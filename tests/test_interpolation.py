@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from pie import interpolation
+from pie import interpolation, preprocess
 from pie.formula import Implies, free_symbols, neg
 from pie.interpolation import (
     Interpolant, InterpolationTask, emit_tableau_dot, interpolate,
@@ -174,17 +174,35 @@ def test_symmetric_interpolation_shares_one_budget(monkeypatch):
     now, given = [0.0], []
 
     def spend_all(task, config):
-        given.append(config.timeout_ms)
-        now[0] += config.timeout_ms / 1000
+        given.append(preprocess.deadline(config.timeout_ms) - now[0])
+        now[0] += given[-1]
         return Interpolant(parse_formula("p"))
 
-    monkeypatch.setattr(interpolation, "time",
+    monkeypatch.setattr(preprocess, "time",
                         SimpleNamespace(monotonic=lambda: now[0]))
     monkeypatch.setattr(interpolation, "interpolate", spend_all)
     parts = [parse_formula("p, s"), parse_formula("~p ; q"),
              parse_formula("~q")]
     symmetric_interpolate(parts, ProverConfig(timeout_ms=900))
-    assert len(given) == 3 and given[0] == 900 and sum(given) <= 900
+    assert len(given) == 3 and given[0] == 0.9 and sum(given) <= 0.9
+
+
+@pytest.mark.parametrize("left, right, reason", [
+    ("all(x, ex(y, r(x,y)))", "all(x, ex(y, r(x,y)))",
+     "function sk1/1 is not shared"),
+    ("all(x, r(x, f(x)))", "all(x, ex(y, r(x,y)))",
+     "function f/1 is not shared"),
+    ("a = b", "s(a) -> s(b)",
+     "predicate s/1 (both) is not shared"),
+    ("all(x, (q(x) -> x = a)), q(b)", "p(b) -> p(a)",
+     "predicate p/1 (both) is not shared"),
+], ids=["skolem-function", "left-function", "equality", "equality-lyndon"])
+def test_interpolant_with_an_unshared_symbol_fails(left, right, reason):
+    # each gave an "interpolant" with the symbol named: all(x, r(x,sk1(x))),
+    # all(x, r(x,f(x))), ~s(a); s(b) and ~p(b); p(a)
+    out = ipol(left, right)
+    assert out.status == "failed"
+    assert out.proof.reason == reason
 
 
 # ---------------------------------------------------------------------------

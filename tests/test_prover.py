@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pie.formula import (
     Atom, Context, Eq, Fn, ForAll, Implies, Var, map_atom, neg,
@@ -628,17 +628,20 @@ def _no_cache_hits():
 
 
 def _assert_same_search(attempt):
+    """The search without cache hits, after checking that attempt finds
+    the same with them in no more inferences."""
     cached = attempt()
     with _no_cache_hits():
         plain = attempt()
     assert plain.cached_failures == 0
     assert cached.inferences <= plain.inferences
     if plain.reason == "inference limit":
-        return
+        return plain
     assert (cached.proved, cached.reason, cached.depth) == \
         (plain.proved, plain.reason, plain.depth)
     if plain.proved:
         assert _preorder(cached) == _preorder(plain)
+    return plain
 
 
 def _bench_workloads():
@@ -658,7 +661,11 @@ def _bench_workloads():
 
 
 THEOREMS = dict(_bench_workloads().theorems_inputs(1))
-UNLIMITED = ProverConfig(timeout_ms=60000)
+# Both arms of _assert_same_search stop at this many inferences, so that
+# a long search ends at its "inference limit" return and never at the
+# timeout, which depends on the machine's load.  Without the cache, the
+# theorems below take at most 24,998 (dnf-4).
+CAPPED = ProverConfig(timeout_ms=60000, max_inferences=100_000)
 
 
 @pytest.mark.parametrize("src", [
@@ -668,15 +675,23 @@ UNLIMITED = ProverConfig(timeout_ms=60000)
         *(f"theorems-{name}" for name in sorted(THEOREMS))])
 def test_failure_cache_keeps_the_proof(src):
     f = parse_formula(src)
-    _assert_same_search(lambda: prove(f, UNLIMITED))
+    assert _assert_same_search(lambda: prove(f, CAPPED)).proved
 
 
 @given(_clause_sets)
+# satisfiable: without the cache the search takes 26.2M inferences and
+# about 56 s, and under load it ended at the timeout instead
+@example([[(True, "q")], [(False, "q"), (False, "p"), (False, "s")],
+          [(True, "r"), (False, "s"), (True, "p")], [(True, "s")],
+          [(True, "p"), (False, "q"), (True, "r")],
+          [(True, "p"), (True, "p"), (True, "s")],
+          [(True, "q"), (True, "q"), (True, "s")],
+          [(True, "q"), (False, "s"), (False, "r")], [(False, "p")]])
 @settings(deadline=None, max_examples=200)
 def test_failure_cache_keeps_propositional_proofs(lit_lists):
     clauses = [(Clause(tuple((s, Atom(a, ())) for s, a in lits)), "left")
                for lits in lit_lists]
-    _assert_same_search(lambda: prove_clausal(clauses, UNLIMITED))
+    _assert_same_search(lambda: prove_clausal(clauses, CAPPED))
 
 
 # Random clause sets are mostly satisfiable and cut few subtrees.  The
